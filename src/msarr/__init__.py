@@ -22,7 +22,7 @@ from .arrangement import (
 )
 from .errors import GuardExceeded, MsarrError, RetryExhausted, VerificationError
 from .examples import named_base
-from .feasibility import FeasibilityOutcome, mixed_feasibility, strict_feasibility
+from .feasibility import FeasibilityOutcome, strict_feasibility
 from .fields import PHI, Q, Qrt5, format_scalar, parse_scalar
 from .linalg import Mat, det, kernel_basis, rank, rref
 from .matroid import (

@@ -1,4 +1,4 @@
-"""Exact strict/mixed linear feasibility with verifiable witnesses.
+"""Exact strict linear feasibility with verifiable witnesses.
 
 The workhorse is a phase-1 simplex over the exact field with Bland's rule
 (finite termination, no tolerances).  Strict feasibility of B x > 0 is
@@ -16,7 +16,6 @@ from .fields import Q, as_scalar
 __all__ = [
     "FeasibilityOutcome",
     "strict_feasibility",
-    "mixed_feasibility",
     "lp_count",
     "reset_lp_count",
 ]
@@ -148,59 +147,3 @@ def _check_certificate(rows, lam):
     for j in range(ncols):
         if sum(lam[i] * rows[i][j] for i in range(len(rows))) != 0:
             raise ArithmeticError("simplex dual is not a kernel vector")
-
-
-def mixed_feasibility(eq_rows, geq_rows, normalization):
-    """Point with eq.x = 0, geq.x >= 0 and geq[pin].x = value, or None.
-
-    normalization = (pin_row_index, value) with value > 0, pinning one of
-    the inequality rows to a positive constant so 'nonzero solution' becomes
-    a plain feasibility question.
-    """
-    eq = [[as_scalar(v) for v in r] for r in eq_rows]
-    geq = [[as_scalar(v) for v in r] for r in geq_rows]
-    pin, value = normalization
-    value = as_scalar(value)
-    if value <= 0:
-        raise ValueError("normalization value must be positive")
-    if not 0 <= pin < len(geq):
-        raise IndexError("normalization row out of range")
-    ncols_set = {len(r) for r in eq + geq}
-    if len(ncols_set) > 1:
-        raise ValueError("inconsistent column counts")
-    ncols = ncols_set.pop() if ncols_set else 0
-
-    a = []
-    b = []
-    nslack = len(geq) - 1
-
-    def emb(row, slack_idx=None):
-        out = row + [-v for v in row] + [Q(0)] * nslack
-        if slack_idx is not None:
-            out[2 * ncols + slack_idx] = Q(-1)
-        return out
-
-    for r in eq:
-        a.append(emb(r))
-        b.append(Q(0))
-    si = 0
-    for i, r in enumerate(geq):
-        if i == pin:
-            a.append(emb(r))
-            b.append(value)
-        else:
-            a.append(emb(r, si))
-            b.append(Q(0))
-            si += 1
-    opt, x, _ = _phase1(a, b)
-    if opt != 0:
-        return None
-    u = tuple(x[j] - x[ncols + j] for j in range(ncols))
-    for r in eq:
-        if sum(c * v for c, v in zip(r, u)) != 0:
-            raise ArithmeticError("invalid mixed-feasibility point")
-    for i, r in enumerate(geq):
-        val = sum(c * v for c, v in zip(r, u))
-        if val < 0 or (i == pin and val != value):
-            raise ArithmeticError("invalid mixed-feasibility point")
-    return u

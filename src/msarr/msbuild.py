@@ -16,7 +16,7 @@ from itertools import combinations
 from .arrangement import CentralArrangement, Flat
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, as_scalar
-from .linalg import Mat, det, in_span, kernel_basis, rref
+from .linalg import Mat, det, kernel_basis
 
 __all__ = [
     "GenericArrangement",
@@ -158,38 +158,28 @@ def moment_curve_base(s) -> GenericArrangement:
     return GenericArrangement(2, len(vals), tuple((Q(1), v) for v in vals))
 
 
+def _dt_labels(m: MSArrangement, T):
+    """Labels of the I(T, j): the k smallest elements of T plus one more."""
+    idx = sorted(T)
+    return [ms_label(idx[:m.k] + [t], m.n) for t in idx[m.k:]]
+
+
 def d_flat(m: MSArrangement, T) -> Flat:
-    """The flat D_T, presented by the |T| - k rows alpha_{I(T, j)}.
+    """The flat D_T, the intersection of the |T| - k hyperplanes D_I(T, j).
 
     I(T, j) takes the k smallest elements of T together with the (k+j)-th;
-    those rows already span D_T's normal space.
+    those hyperplanes already cut out D_T.
     """
     idx = sorted(set(T))
-    k = m.k
-    if len(idx) < k + 1:
+    if len(idx) < m.k + 1:
         raise ValueError("T must have at least k+1 elements")
     if idx[0] < 1 or idx[-1] > m.n:
         raise ValueError("index out of range")
-    cache = m.__dict__.get("_dflat_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(m, "_dflat_cache", cache)
-    key = tuple(idx)
-    if key in cache:
-        return cache[key]
-    rows = [list(alpha_I(m.base, idx[:k] + [idx[k + j]])) for j in range(len(idx) - k)]
-    ns, piv = rref(Mat(rows))
-    if len(ns) != len(idx) - k:
+    fl = m.arrangement.flat_of(_dt_labels(m, idx))
+    if fl.codim != len(idx) - m.k:
         raise VerificationError(
-            f"D_T for T={idx} has codim {len(ns)}, expected {len(idx) - k}"
+            f"D_T for T={idx} has codim {fl.codim}, expected {len(idx) - m.k}"
         )
-    closed = frozenset(
-        l
-        for l in m.arrangement.labels
-        if in_span(m.arrangement.normal(l), ns, piv)
-    )
-    fl = Flat(closed, len(ns), ns, piv)
-    cache[key] = fl
     return fl
 
 
@@ -202,20 +192,18 @@ def gale_dual(g: GenericArrangement) -> Mat:
     return dual
 
 
-def _flat_contains(outer: Flat, inner_rows, inner_piv) -> bool:
-    # X subseteq D_T iff D_T's normal space sits inside X's
-    return all(in_span(r, outer.normal_space, outer.pivots) for r in inner_rows)
-
-
 def canonical_presentation(m: MSArrangement, x: Flat):
-    """Maximal T with X inside D_T, as a SetFamily over ([n], k)."""
+    """Maximal T with X inside D_T, as a SetFamily over ([n], k).
+
+    D_T is cut out by the hyperplanes D_I(T, j), so X lies in D_T iff all
+    their labels are in X's closed set.
+    """
     from .pnk import SetFamily
 
     containing = []
     for size in range(m.k + 1, m.n + 1):
         for T in combinations(range(1, m.n + 1), size):
-            dt = d_flat(m, T)
-            if _flat_contains(x, dt.normal_space, dt.pivots):
+            if all(l in x.closed_set for l in _dt_labels(m, T)):
                 containing.append(frozenset(T))
     maximal = [
         T for T in containing if not any(T < U for U in containing)

@@ -113,10 +113,8 @@ def enumerate_pnk(n: int, k: int, max_rank: int):
             if any(T <= U or U <= T for U in chosen):
                 continue
             fam = chosen + [T]
-            ok, tag = is_pnk_element(SetFamily(n, k, fam))
+            ok, _ = is_pnk_element(SetFamily(n, k, fam))
             if not ok:
-                if tag == "iii" and len(fam) >= 2:
-                    continue
                 continue
             results[new_rk].append(SetFamily(n, k, fam))
             extend(fam, new_rk, i + 1)
@@ -136,11 +134,12 @@ def lattice_isomorphic_to_pnk(m):
     is not very generic.
     """
     from .linalg import Mat, rref
-    from .msbuild import d_flat
+    from .msbuild import _dt_labels
 
     n, k = m.n, m.k
-    rk = m.arrangement.rank()
-    flats = m.arrangement.full_lattice()
+    a = m.arrangement
+    rk = a.rank()
+    flats = a.full_lattice()
     flat_keys = {}
     for f in flats:
         flat_keys[f.key()] = f
@@ -150,9 +149,7 @@ def lattice_isomorphic_to_pnk(m):
         if not fam.members:
             key, codim = (), 0
         else:
-            rows = []
-            for T in fam.members:
-                rows.extend(list(r) for r in d_flat(m, T).normal_space)
+            rows = [list(a.normal(l)) for T in fam.members for l in _dt_labels(m, T)]
             ns, _ = rref(Mat(rows))
             key, codim = ns, len(ns)
         if key not in flat_keys:

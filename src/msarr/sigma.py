@@ -10,8 +10,9 @@ certificate; membership carries interior points.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 from .arrangement import (
     CHAMBER_GUARD,
@@ -23,9 +24,9 @@ from .arrangement import (
     essentialize,
 )
 from .errors import GuardExceeded
-from .fields import Q
-from .feasibility import mixed_feasibility, strict_feasibility
-from .linalg import Mat, rank
+from .fields import Q, sign
+from .feasibility import strict_feasibility
+from .linalg import Mat, kernel_basis, rref
 
 __all__ = [
     "SigmaReport",
@@ -151,37 +152,78 @@ def _chambers(a: CentralArrangement):
     return c
 
 
+def _wall_rays(a: CentralArrangement, w):
+    """Rays r_j of the cone over the walls w: a_i . r_j = [i == j].
+
+    They are the columns of the inverse of the wall matrix, so r_j spans
+    the kernel of the other wall normals; None when the normals of w are
+    dependent.  Needs |w| = a.dim.
+    """
+    d = a.dim
+    rows = [list(a.normal(l)) + [int(i == j) for j in range(d)] for i, l in enumerate(w)]
+    inverse, piv = rref(Mat(rows))
+    if piv != tuple(range(d)):
+        return None
+    return [[row[d + j] for row in inverse] for j in range(d)]
+
+
+def _simple_chambers_on(a: CentralArrangement, w, wall_signs):
+    """The simple chambers of the essential a with walls w, one per sign pattern.
+
+    For independent wall normals and signs e on w, the cone e_j a_j . x >= 0
+    (j in w) is spanned by the rays e_j r_j.  Its interior is a chamber whose
+    walls are exactly w, and its closure meets no other hyperplane off the
+    origin, iff every other hyperplane takes one strict sign on all those
+    rays; that sign is then the chamber's.
+    """
+    rays = _wall_rays(a, w)
+    if rays is None:
+        return
+    others = [l for l in a.labels if l not in w]
+    ray_signs = {
+        l: [sign(sum(c * v for c, v in zip(a.normal(l), r))) for r in rays]
+        for l in others
+    }
+    if any(0 in t for t in ray_signs.values()):
+        return
+    for e in wall_signs:
+        signs = dict(zip(w, e))
+        for l in others:
+            side = {ej * t for ej, t in zip(e, ray_signs[l])}
+            if len(side) != 1:
+                break
+            signs[l] = side.pop()
+        else:
+            yield SignVector(a.labels, tuple(signs[l] for l in a.labels))
+
+
+def _simple_chambers(a: CentralArrangement):
+    """(chamber, walls) for every simple chamber of the essential a.
+
+    A simple chamber has exactly dim walls, so rank-subsets of the labels
+    times sign patterns on them list each one exactly once.
+    """
+    d = a.dim
+    for w in combinations(a.labels, d):
+        for ch in _simple_chambers_on(a, w, product((1, -1), repeat=d)):
+            yield ch, w
+
+
 def is_simple_chamber(a: CentralArrangement, chamber: SignVector) -> bool:
     """Chamber closure is a simplicial cone meeting no other hyperplane.
 
-    Requires an essential arrangement.  Wall count must equal the rank with
-    independent wall normals, and every non-wall hyperplane must meet the
-    closed chamber in the origin only.  The face test pins the sum of all
-    localized values to 1: a nonzero point of the closed cone inside a
-    non-wall hyperplane has positive value-sum, since value-sum zero forces
-    the point into every hyperplane, hence into the center {0}.
+    Requires an essential arrangement.  The walls must number rank with
+    independent normals, and every non-wall hyperplane must take the
+    chamber's strict sign on every ray of the closed chamber.
     """
     rk = a.rank()
     if rk != a.dim:
         raise ValueError("arrangement must be essential; essentialize first")
-    w = walls(a, chamber)
+    w = sorted(walls(a, chamber))
     if len(w) != rk:
         return False
-    if rank(Mat([list(a.normal(l)) for l in sorted(w)])) != rk:
-        return False
-    eps_rows = [
-        [chamber.sign_of(l) * c for c in a.normal(l)] for l in a.labels
-    ]
-    sum_row = [sum(col) for col in zip(*eps_rows)]
-    for l in a.labels:
-        if l in w:
-            continue
-        point = mixed_feasibility(
-            [list(a.normal(l))], eps_rows + [sum_row], (len(eps_rows), 1)
-        )
-        if point is not None:
-            return False
-    return True
+    pattern = tuple(chamber.sign_of(l) for l in w)
+    return next(_simple_chambers_on(a, w, [pattern]), None) is not None
 
 
 def epsilon_C(a: CentralArrangement, simple_chamber: SignVector) -> SignVector:
@@ -192,9 +234,10 @@ def epsilon_C(a: CentralArrangement, simple_chamber: SignVector) -> SignVector:
 
 
 EXHAUSTIVE_GUARD = 16
+JUMP_POINT_TRIES = 20
 
 
-def _jump_candidates_at(a: CentralArrangement, x: Flat, rng_tries: int = 20):
+def _jump_candidates_at(a: CentralArrangement, x: Flat):
     """Candidate jump witnesses built from one over-populated flat.
 
     A flipped simple chamber of the localization at x is inconsistent
@@ -203,25 +246,19 @@ def _jump_candidates_at(a: CentralArrangement, x: Flat, rng_tries: int = 20):
     live.  Every candidate is verified by the caller, so this generator
     only has to be plausible, not complete.
     """
-    import random
-
     loc = CentralArrangement(
         a.dim, [(l, a.normal(l)) for l in a.labels if l in x.closed_set]
     )
     ess, _ = essentialize(loc)
-    flips = []
-    for ch in sorted(_chambers(ess), key=lambda c: c.to_string()):
-        if is_simple_chamber(ess, ch):
-            flips.append(ch.flip(walls(ess, ch)).as_dict())
+    simple = sorted(_simple_chambers(ess), key=lambda cw: cw[0].to_string())
+    flips = [ch.flip(w).as_dict() for ch, w in simple]
     if not flips:
         return
     others = [l for l in a.labels if l not in x.closed_set]
-    from .linalg import Mat, kernel_basis
-
     basis = kernel_basis(Mat([list(r) for r in x.normal_space])) if x.normal_space else []
     rng = random.Random(7)
     seen = set()
-    for _ in range(rng_tries if others else 1):
+    for _ in range(JUMP_POINT_TRIES if others else 1):
         point = [Q(0)] * a.dim
         for v in basis:
             c = Q(rng.randint(-9, 9))
@@ -230,9 +267,7 @@ def _jump_candidates_at(a: CentralArrangement, x: Flat, rng_tries: int = 20):
         vals = {l: sum(c * t for c, t in zip(a.normal(l), point)) for l in others}
         if any(v == 0 for v in vals.values()):
             continue
-        from .fields import sign as _sign
-
-        frozen = {l: _sign(v) for l, v in vals.items()}
+        frozen = {l: sign(v) for l, v in vals.items()}
         for flip in flips:
             assign = dict(frozen)
             assign.update(flip)

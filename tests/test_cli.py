@@ -78,6 +78,17 @@ def test_sigma_member_and_nonmember(runner, arr52):
         assert rep["failing_flat"]
 
 
+def test_sigma_lp_count_is_per_command(runner, arr52):
+    with open(arr52) as fh:
+        member = "+" * len(json.load(fh)["hyperplanes"])
+    counts = []
+    for _ in range(2):
+        r = invoke(runner, "sigma", "--arrangement", arr52, "--eps", member, "--p", "2")
+        assert r.exit_code == 0
+        counts.append(json.loads(r.output)["timing"]["lp_count"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_sigma_scan_clean_levels(runner, arr52):
     r = invoke(runner, "sigma-scan", "--arrangement", arr52, "--p", "2")
     assert r.exit_code == 0

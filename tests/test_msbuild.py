@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from msarr.fields import Q
 from msarr.linalg import Mat, rank, rref
 from msarr import (
@@ -21,7 +22,9 @@ from msarr import (
     ms_label,
     parse_ms_label,
     named_base,
+    perturb_to_very_generic,
     random_generic,
+    witness_rank_r,
 )
 
 MS31 = [[1, 0, 1, -1], [0, 1, 1, 1]]
@@ -205,6 +208,29 @@ def test_presentation_falk_triple():
         frozenset({1, 3, 4, 6}),
         frozenset({2, 3, 5, 6}),
     }
+
+
+def assert_presentations_match_elimination(m):
+    expected = oracles.elimination_presentations(m)
+    for x in m.arrangement.full_lattice():
+        assert canonical_presentation(m, x) == expected[x.key()], x.sorted_labels()
+
+
+@pytest.mark.parametrize("name", ["falk", "h3"])
+def test_presentations_match_elimination_named(name):
+    assert_presentations_match_elimination(build_ms(named_base(name)))
+
+
+def test_presentations_match_elimination_very_generic(ms52, ms63_very_generic):
+    assert_presentations_match_elimination(ms52)
+    assert_presentations_match_elimination(ms63_very_generic)
+
+
+def test_presentations_match_elimination_witness_62():
+    w = witness_rank_r(6, 2, seed=0)
+    assert_presentations_match_elimination(build_ms(w.witness_base))
+    m, _ = perturb_to_very_generic(w, seed=0)
+    assert_presentations_match_elimination(m)
 
 
 def test_moment_base_is_very_generic(ms52):

@@ -6,9 +6,11 @@ import oracles
 from conftest import boolean
 from msarr.errors import GuardExceeded
 from msarr.fields import Q
+from msarr.sigma import _simple_chambers
 from msarr import (
     CentralArrangement,
     SignVector,
+    build_ms,
     chamber_sign_vectors,
     consistent_at,
     direct_sum,
@@ -18,6 +20,7 @@ from msarr import (
     in_sigma_p,
     is_simple_chamber,
     localization,
+    named_base,
     sigma_product_check,
     sigma_set,
     walls,
@@ -177,9 +180,8 @@ def test_simple_chamber_requires_essential(br3):
         is_simple_chamber(br3, ch)
 
 
-def test_non_simple_chamber_detected():
-    # the all-plus chamber is the cone over a square: four walls in rank 3
-    a = CentralArrangement(
+def square_cone():
+    return CentralArrangement(
         3,
         [
             ("a", [1, 0, 1]),
@@ -188,9 +190,60 @@ def test_non_simple_chamber_detected():
             ("d", [0, -1, 1]),
         ],
     )
+
+
+def test_non_simple_chamber_detected():
+    # the all-plus chamber is the cone over a square: four walls in rank 3
+    a = square_cone()
     ch = SignVector(a.labels, (1, 1, 1, 1))
     assert ch in chamber_sign_vectors(a)
     assert not is_simple_chamber(a, ch)
+
+
+def essential_sub(a, labels):
+    return essentialize(
+        CentralArrangement(a.dim, [(l, a.normal(l)) for l in labels])
+    )[0]
+
+
+def assert_simple_chambers_match_lp(a):
+    """Ray test and direct enumeration against the LP test on every chamber."""
+    lp = {ch: oracles.lp_is_simple_chamber(a, ch) for ch in chamber_sign_vectors(a)}
+    for ch, simple in lp.items():
+        assert is_simple_chamber(a, ch) == simple, ch.to_string()
+    expected = {ch: frozenset(walls(a, ch)) for ch, simple in lp.items() if simple}
+    listed = [(ch, frozenset(w)) for ch, w in _simple_chambers(a)]
+    assert len(listed) == len(expected)
+    assert dict(listed) == expected
+    return sum(lp.values()), len(lp)
+
+
+def test_simple_chambers_match_lp_small(br3):
+    assert assert_simple_chambers_match_lp(boolean(3)) == (8, 8)
+    assert assert_simple_chambers_match_lp(essentialize(br3)[0]) == (6, 6)
+    # both kinds: 8 of the square cone's 14 chambers are simple
+    assert assert_simple_chambers_match_lp(square_cone()) == (8, 14)
+    ms31 = build_ms([[1, 0, 1, -1], [0, 1, 1, 1]]).arrangement
+    assert assert_simple_chambers_match_lp(essentialize(ms31)[0]) == (8, 8)
+
+
+def test_simple_chambers_match_lp_moment_52(ms52):
+    assert assert_simple_chambers_match_lp(essentialize(ms52.arrangement)[0]) == (0, 62)
+
+
+def test_simple_chambers_match_lp_falk_subarrangement():
+    falk = build_ms(named_base("falk")).arrangement
+    sub = essential_sub(falk, ("1234", "1245", "1346", "2356", "3456", "1256"))
+    assert sub.rank() == 3
+    assert assert_simple_chambers_match_lp(sub) == (12, 30)
+
+
+def test_simple_chambers_match_lp_h3_subarrangement():
+    # over Q(sqrt 5)
+    h3 = build_ms(named_base("h3")).arrangement
+    sub = essential_sub(h3, ("1235", "1245", "1256", "1346", "1456", "2346"))
+    assert sub.rank() == 3
+    assert assert_simple_chambers_match_lp(sub) == (6, 28)
 
 
 # -- jumps ------------------------------------------------------------------------
@@ -209,6 +262,8 @@ def test_jump_found_in_very_generic_63(ms63_very_generic):
     assert not in_sigma_p(a, eps, 3).member
     assert cert.verify(a, eps)
     assert flat.codim == 3
+    # the candidate order decides the witness; this one is pinned
+    assert eps.to_string() == "+-+++---++--+-+"
 
 
 def test_find_jump_level_validation(br3):
