@@ -2,21 +2,23 @@
 
 An arrangement is an ordered list of labeled nonzero normals in an exact
 ambient space.  From it we derive the intersection lattice (BFS on
-codimension, deduplicated by canonical echelon form of the normal space),
-localizations, an essentialization with a point back-map, chamber sign
-vectors, the Zaslavsky chamber count used as an independent oracle, and
-minimal circuits with their dependency coefficients.
+codimension; a flat is identified by its closed label set, the labels of
+the hyperplanes containing it), localizations, an essentialization with a
+point back-map, chamber sign vectors, the Zaslavsky chamber count used as
+an independent oracle, and minimal circuits with their dependency
+coefficients.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import GuardExceeded
 from .fields import Q, as_scalar, format_scalar, parse_scalar, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, in_span, kernel_basis, rank, rref
+from .linalg import Mat, in_span, kernel_basis, rank, reduce_against, rref
 
 __all__ = [
     "CentralArrangement",
@@ -41,17 +43,16 @@ CHAMBER_GUARD = 22
 class Flat:
     """A lattice element: all hyperplanes containing it, plus its X^perp.
 
-    normal_space is the canonical reduced echelon basis, so two flats are
-    equal as subspaces iff their normal_space tuples are equal.
+    The closed label set determines the flat within its arrangement, so
+    flats hash and compare by (closed_set, codim).  normal_space is the
+    reduced echelon basis of X^perp with its pivot columns, the
+    coordinates the flat is computed in.
     """
 
     closed_set: frozenset
     codim: int
-    normal_space: tuple
-    pivots: tuple
-
-    def key(self):
-        return self.normal_space
+    normal_space: tuple = field(compare=False)
+    pivots: tuple = field(compare=False)
 
     def sorted_labels(self):
         return sorted(self.closed_set)
@@ -154,7 +155,10 @@ class CentralArrangement:
         self.labels = tuple(labels)
         self._normals = normals
         self._reject_parallel()
-        self._lattice = None  # filled lazily, write-once
+        # filled lazily, write-once
+        self._lattice = None
+        self._rank = None
+        self._chambers = None
 
     def _reject_parallel(self):
         seen = {}
@@ -180,9 +184,9 @@ class CentralArrangement:
         return len(self.labels)
 
     def rank(self) -> int:
-        if not self.labels:
-            return 0
-        return rank(self.normal_matrix())
+        if self._rank is None:
+            self._rank = rank(self.normal_matrix()) if self.labels else 0
+        return self._rank
 
     def __repr__(self):
         return f"CentralArrangement(dim={self.dim}, n={self.n_hyperplanes})"
@@ -215,38 +219,39 @@ class CentralArrangement:
 
     def full_lattice(self):
         if self._lattice is None:
-            self._lattice = self._build_lattice(None)
+            self._lattice = self._build_lattice()
         return self._lattice
 
-    def _closure(self, ns_rows, ns_pivots):
-        return frozenset(
-            l for l in self.labels if in_span(self._normals[l], ns_rows, ns_pivots)
-        )
+    def _build_lattice(self):
+        """BFS on codim: the covers of F are the residual parallel classes.
 
-    def _build_lattice(self, max_codim):
+        Reduction modulo F's rref basis is linear with kernel X^perp, so two
+        labels off F cut the same cover iff their residues are proportional.
+        Only a cover not met before needs an rref, for its basis.
+        """
         top = Flat(frozenset(), 0, (), ())
-        by_key = {(): top}
+        by_labels = {top.closed_set: top}
         frontier = [top]
-        p = 0
-        while frontier and (max_codim is None or p < max_codim):
-            newly = {}
+        while frontier:
+            newly = []
             for fl in frontier:
-                residual = [l for l in self.labels if l not in fl.closed_set]
-                for lab in residual:
-                    rows = [list(r) for r in fl.normal_space]
-                    rows.append(list(self._normals[lab]))
-                    ns, piv = rref(Mat(rows))
-                    if len(ns) != fl.codim + 1:
-                        continue  # normal already in span, cannot happen post-closure
-                    if ns in by_key or ns in newly:
+                classes = {}
+                for lab in self.labels:
+                    if lab in fl.closed_set:
                         continue
-                    closed = self._closure(ns, piv)
-                    newly[ns] = Flat(closed, fl.codim + 1, ns, piv)
-            by_key.update(newly)
-            frontier = list(newly.values())
-            p += 1
-        flats = sorted(by_key.values(), key=lambda f: (f.codim, f.sorted_labels()))
-        return flats
+                    res = reduce_against(self._normals[lab], fl.normal_space, fl.pivots)
+                    lead = next(v for v in res if v != 0)
+                    classes.setdefault(tuple(v / lead for v in res), []).append(lab)
+                for res, cls in classes.items():
+                    closed = fl.closed_set.union(cls)
+                    if closed in by_labels:
+                        continue
+                    ns, piv = rref(Mat([*fl.normal_space, res]))
+                    child = Flat(closed, fl.codim + 1, ns, piv)
+                    by_labels[closed] = child
+                    newly.append(child)
+            frontier = newly
+        return sorted(by_labels.values(), key=lambda f: (f.codim, f.sorted_labels()))
 
     def flats(self, max_codim=None):
         if max_codim is None:
@@ -261,11 +266,12 @@ class CentralArrangement:
         if not labels:
             return Flat(frozenset(), 0, (), ())
         ns, piv = rref(Mat([list(self._normals[l]) for l in labels]))
-        closed = self._closure(ns, piv)
+        closed = frozenset(l for l in self.labels if in_span(self._normals[l], ns, piv))
         return Flat(closed, len(ns), ns, piv)
 
     def has_flat(self, x: Flat) -> bool:
-        return any(f.key() == x.key() for f in self.full_lattice())
+        """x has this arrangement's labels and normals: its closed set and X^perp."""
+        return any(f == x and f.normal_space == x.normal_space for f in self.full_lattice())
 
 
 def intersection_lattice(a: CentralArrangement, max_codim=None):
@@ -326,20 +332,21 @@ def _eval(normal, point):
     return sum(c * v for c, v in zip(normal, point))
 
 
-def chamber_sign_vectors(a: CentralArrangement):
+def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
     """Sign vectors realized by complement points, by pruned DFS.
 
     Each partial assignment carries an interior witness point; extending by
     a hyperplane reuses the witness for the sign it already satisfies, so
-    only the flipped branch costs a feasibility solve.
+    only the flipped branch costs a feasibility solve.  The set is kept on
+    the arrangement, write-once like its lattice.
     """
     n = a.n_hyperplanes
     if n > CHAMBER_GUARD:
         raise GuardExceeded(
             f"{n} hyperplanes exceeds the chamber enumeration guard ({CHAMBER_GUARD})"
         )
-    if n == 0:
-        return {SignVector((), ())}
+    if a._chambers is not None:
+        return a._chambers
     normals = [a.normal(l) for l in a.labels]
     out = set()
 
@@ -365,7 +372,8 @@ def chamber_sign_vectors(a: CentralArrangement):
                     descend(prefix_signs + [s], w)
 
     descend([], None)
-    return out
+    a._chambers = frozenset(out)
+    return a._chambers
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:
@@ -381,8 +389,8 @@ def zaslavsky_chambers(a: CentralArrangement) -> int:
             m = 0
             for g in flats:
                 if g.codim < f.codim and g.closed_set <= f.closed_set:
-                    m -= mu[g.key()]
-        mu[f.key()] = m
+                    m -= mu[g.closed_set]
+        mu[f.closed_set] = m
         total += abs(m)
     return total
 
@@ -395,8 +403,6 @@ def circuits(a: CentralArrangement, max_size: int):
     """
     if max_size > a.n_hyperplanes:
         raise ValueError("max_size exceeds the number of hyperplanes")
-    from itertools import combinations
-
     found = []
     found_sets = []
     for size in range(2, max_size + 1):

@@ -1,8 +1,9 @@
 """Exact linear algebra over an ordered field.
 
 Determinant and rank use fraction-free (Bareiss-style) elimination; reduced
-row echelon form is used for kernels, span membership and canonical flat
-keys.  Everything operates on lists/tuples of exact scalars (see fields).
+row echelon form is used for kernels, span membership and the bases of
+flats' normal spaces.  Everything operates on lists/tuples of exact scalars
+(see fields).
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def rref(m):
     """Reduced row echelon form.
 
     Returns (rows, pivots): the nonzero rows with each pivot normalized to 1
-    and eliminated above and below, plus the pivot column indices.  This is
-    the canonical representation used to key subspaces.
+    and eliminated above and below, plus the pivot column indices.  It
+    depends only on the row space, not on the rows that span it.
     """
     a = _as_rows(m)
     mrows = len(a)

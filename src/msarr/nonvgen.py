@@ -34,6 +34,7 @@ from .msbuild import (
     ms_label,
 )
 from .pnk import SetFamily
+from .sigma import in_sigma_p
 
 __all__ = [
     "WitnessSpec",
@@ -318,8 +319,6 @@ def jump_after_perturbation(
     chamber, and it lies one level down in the filtration.  Returns
     (sign vector, failing flat, certificate).
     """
-    from .sigma import in_sigma_p
-
     a = m.arrangement
     p = a.rank() - 1
     split = set(w.family_labels())

@@ -133,33 +133,15 @@ def lattice_isomorphic_to_pnk(m):
     bijection from P(n, k) onto the lattice.  Fails exactly when the base
     is not very generic.
     """
-    from .linalg import Mat, rref
     from .msbuild import _dt_labels
 
-    n, k = m.n, m.k
     a = m.arrangement
-    rk = a.rank()
-    flats = a.full_lattice()
-    flat_keys = {}
-    for f in flats:
-        flat_keys[f.key()] = f
-
     seen = set()
-    for fam in enumerate_pnk(n, k, rk):
-        if not fam.members:
-            key, codim = (), 0
-        else:
-            rows = [list(a.normal(l)) for T in fam.members for l in _dt_labels(m, T)]
-            ns, _ = rref(Mat(rows))
-            key, codim = ns, len(ns)
-        if key not in flat_keys:
+    for fam in enumerate_pnk(m.n, m.k, a.rank()):
+        x = a.flat_of(l for T in fam.members for l in _dt_labels(m, T))
+        if x.codim != pnk_rank(fam) or x.closed_set in seen:
             return False, fam
-        expected = pnk_rank(fam) if fam.members else 0
-        if flat_keys[key].codim != expected:
-            return False, fam
-        if key in seen:
-            return False, fam
-        seen.add(key)
-    if len(seen) != len(flats):
+        seen.add(x.closed_set)
+    if len(seen) != len(a.full_lattice()):
         return False, None
     return True, None

@@ -70,14 +70,16 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     The strict system is solved in the flat's normal-space coordinates:
     each localized row lies in the span of the echelon basis of X^perp, so
     its pivot-column entries are its coordinates there, and a point in the
-    reduced system lifts by scattering onto the pivot columns.
+    reduced system lifts by scattering onto the pivot columns.  Results are
+    cached on the arrangement, one entry per flat and local sign pattern
+    met, so at most sum over flats of 2^|closed set|.
     """
     labels = sorted(x.closed_set)
     if not labels:
         return True, tuple(Q(0) for _ in range(a.dim))
     signs = tuple(eps.sign_of(l) for l in labels)
     cache = _cache(a)
-    key = (x.key(), tuple(labels), signs)
+    key = (x.closed_set, signs)
     if key in cache:
         return cache[key]
     piv = x.pivots
@@ -138,18 +140,10 @@ def sigma_set(a: CentralArrangement, p: int):
 
 def walls(a: CentralArrangement, chamber: SignVector):
     """Labels whose sign flip turns the chamber into another chamber."""
-    chambers = _chambers(a)
+    chambers = chamber_sign_vectors(a)
     if chamber not in chambers:
         raise ValueError("input sign vector is not a chamber")
     return {l for l in a.labels if chamber.flip([l]) in chambers}
-
-
-def _chambers(a: CentralArrangement):
-    c = getattr(a, "_chamber_cache", None)
-    if c is None:
-        c = chamber_sign_vectors(a)
-        a._chamber_cache = c
-    return c
 
 
 def _wall_rays(a: CentralArrangement, w):

@@ -6,6 +6,7 @@ possible with the library paths it checks.
 
 from itertools import combinations, permutations, product
 
+from msarr.arrangement import Flat
 from msarr.feasibility import _phase1, strict_feasibility
 from msarr.fields import Q, as_scalar
 from msarr.linalg import Mat, in_span, rank, rref
@@ -41,6 +42,34 @@ def brute_force_flats(arrangement):
                 closed = frozenset()
             seen[key] = (codim, closed)
     return set(seen.values())
+
+
+def echelon_lattice(arrangement):
+    """The lattice by BFS on codim, deduplicated by echelon form of X^perp.
+
+    Every flat adds each normal off it in turn and takes the rref of the
+    result; a new echelon form gives a cover, whose closed set is found by
+    a span test on every label.  Returns the flats ordered by (codim,
+    sorted labels).
+    """
+    a = arrangement
+    top = Flat(frozenset(), 0, (), ())
+    by_key = {(): top}
+    frontier = [top]
+    while frontier:
+        newly = {}
+        for fl in frontier:
+            for lab in a.labels:
+                if lab in fl.closed_set:
+                    continue
+                ns, piv = rref(Mat([list(r) for r in fl.normal_space] + [list(a.normal(lab))]))
+                if ns in by_key or ns in newly:
+                    continue
+                closed = frozenset(l for l in a.labels if in_span(a.normal(l), ns, piv))
+                newly[ns] = Flat(closed, fl.codim + 1, ns, piv)
+        by_key.update(newly)
+        frontier = list(newly.values())
+    return sorted(by_key.values(), key=lambda f: (f.codim, f.sorted_labels()))
 
 
 def braid3_chamber_strings(order):
@@ -177,7 +206,7 @@ def elimination_presentations(m):
 
     Each D_T is eliminated from the rows alpha_I(T, j) computed from the
     base, and X lies in D_T iff D_T's normal space sits inside X's.
-    Returns {flat key: SetFamily}.
+    Returns {closed label set: SetFamily}.
     """
     d_flats = {}
     for size in range(m.k + 1, m.n + 1):
@@ -193,5 +222,5 @@ def elimination_presentations(m):
             if all(in_span(r, x.normal_space, x.pivots) for r in rows)
         ]
         maximal = [T for T in containing if not any(T < U for U in containing)]
-        out[x.key()] = SetFamily(m.n, m.k, maximal, check_antichain=True)
+        out[x.closed_set] = SetFamily(m.n, m.k, maximal, check_antichain=True)
     return out

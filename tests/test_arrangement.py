@@ -11,13 +11,19 @@ from msarr import (
     CentralArrangement,
     SignVector,
     GordanCertificate,
+    build_ms,
     intersection_lattice,
+    lattice_isomorphic_to_pnk,
     localization,
     essentialize,
     chamber_sign_vectors,
+    named_base,
+    perturb_to_very_generic,
     zaslavsky_chambers,
     circuits,
+    witness_rank_r,
 )
+from msarr.pnk import SetFamily
 from conftest import boolean
 
 
@@ -70,6 +76,38 @@ def test_ms52_lattice_matches_brute_force(ms52):
     )
 
 
+def flat_data(flats):
+    return [(f.codim, f.closed_set, f.normal_space, f.pivots) for f in flats]
+
+
+def lattice_case(name, ms63):
+    if name in ("falk", "h3"):
+        return build_ms(named_base(name))
+    if name == "ms63":
+        return ms63
+    w = witness_rank_r(6, 2, seed=0)
+    if name == "witness-62":
+        return build_ms(w.witness_base)
+    return perturb_to_very_generic(w, seed=0)[0]
+
+
+@pytest.mark.parametrize(
+    "name, iso",
+    [
+        ("falk", (False, SetFamily(6, 3, [{1, 2, 3, 4}, {2, 3, 5, 6}]))),
+        ("h3", (False, SetFamily(6, 3, [{1, 2, 3, 4}, {2, 3, 5, 6}]))),
+        ("witness-62", (False, SetFamily(6, 2, [{1, 2, 3}, {1, 4, 6}, {3, 5, 6}]))),
+        ("perturbed-62", (True, None)),
+        ("ms63", (True, None)),
+    ],
+)
+def test_lattice_matches_echelon_oracle(name, iso, ms63_very_generic):
+    m = lattice_case(name, ms63_very_generic)
+    a = m.arrangement
+    assert flat_data(a.full_lattice()) == flat_data(oracles.echelon_lattice(a))
+    assert lattice_isomorphic_to_pnk(m) == iso
+
+
 def test_flat_of_and_has_flat(br3):
     x = br3.flat_of(["xy", "yz"])
     assert x.codim == 2
@@ -97,6 +135,24 @@ def test_localization_rejects_foreign_flat(br3, boolean2):
     other = boolean2.flat_of(["x"])
     with pytest.raises(ValueError):
         localization(br3, other)
+
+
+def test_localization_rejects_flat_with_same_labels_or_same_normals():
+    a = CentralArrangement(3, [("x", [1, 0, 0]), ("y", [0, 1, 0]), ("z", [0, 0, 1])])
+    b = CentralArrangement(3, [("x", [1, 0, 0]), ("y", [0, 1, 0]), ("z", [1, 1, 0])])
+    c = CentralArrangement(3, [("x", [1, 1, 0]), ("y", [0, 1, 0]), ("z", [0, 0, 1])])
+    # b's flat {x, y, z} has the X^perp of a's flat {x, y}
+    xyz = b.flat_of(["x", "y"])
+    assert xyz.closed_set == {"x", "y", "z"}
+    assert xyz.normal_space == a.flat_of(["x", "y"]).normal_space
+    # c's flat {x} has the labels of a's flat {x} but another normal
+    x = c.flat_of(["x"])
+    assert x.closed_set == a.flat_of(["x"]).closed_set
+    assert x.normal_space != a.flat_of(["x"]).normal_space
+    for foreign in (xyz, x):
+        assert not a.has_flat(foreign)
+        with pytest.raises(ValueError):
+            localization(a, foreign)
 
 
 # -- essentialization --------------------------------------------------------

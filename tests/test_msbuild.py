@@ -213,7 +213,7 @@ def test_presentation_falk_triple():
 def assert_presentations_match_elimination(m):
     expected = oracles.elimination_presentations(m)
     for x in m.arrangement.full_lattice():
-        assert canonical_presentation(m, x) == expected[x.key()], x.sorted_labels()
+        assert canonical_presentation(m, x) == expected[x.closed_set], x.sorted_labels()
 
 
 @pytest.mark.parametrize("name", ["falk", "h3"])

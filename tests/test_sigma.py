@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from conftest import boolean
+from msarr import feasibility
 from msarr.errors import GuardExceeded
 from msarr.fields import Q
 from msarr.sigma import _simple_chambers
@@ -155,6 +156,16 @@ def test_walls_of_braid_chamber(br3):
     assert walls(br3, eps) == {"xy", "yz"}
     with pytest.raises(ValueError):
         walls(br3, SignVector(br3.labels, (1, -1, 1)))
+
+
+def test_walls_reuse_the_listed_chambers(br3):
+    for a in (boolean(3), essentialize(br3)[0]):
+        chambers = chamber_sign_vectors(a)
+        solved = feasibility.lp_count()
+        for ch in chambers:
+            walls(a, ch)
+        assert feasibility.lp_count() == solved
+        assert chamber_sign_vectors(a) is chambers
 
 
 def test_boolean_chambers_are_simple(boolean2):
