@@ -7,6 +7,12 @@ the hyperplanes containing it), localizations, an essentialization with a
 point back-map, chamber sign vectors, the Zaslavsky chamber count used as
 an independent oracle, and minimal circuits with their dependency
 coefficients.
+
+Every lattice decision runs on integers: at construction each normal gets
+one canonical integral form (a primitive integer vector over Q, an integer
+pair (A, B) for A + B*sqrt5 over Q(sqrt5)), which also rejects parallel
+hyperplanes, and a hyperplane contains a flat iff its integral normal has
+zero dot product with every vector of an integer basis of the flat.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import GuardExceeded
-from .fields import Q, as_scalar, format_scalar, parse_scalar, sign
+from .fields import Q, Qrt5, as_scalar, format_scalar, parse_scalar, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, in_span, kernel_basis, rank, reduce_against, rref
+from .linalg import Mat, _integral, _integral_kernel, _integral_ops, kernel_basis, rank, rref
 
 __all__ = [
     "CentralArrangement",
@@ -154,6 +160,11 @@ class CentralArrangement:
         self.dim = dim
         self.labels = tuple(labels)
         self._normals = normals
+        # Q(sqrt5) arithmetic only if some entry is irrational
+        self._rt5 = any(
+            isinstance(v, Qrt5) and v.b != 0 for nv in normals.values() for v in nv
+        )
+        self._integral = {l: _integral(nv, self._rt5) for l, nv in normals.items()}
         self._reject_parallel()
         # filled lazily, write-once
         self._lattice = None
@@ -163,12 +174,12 @@ class CentralArrangement:
     def _reject_parallel(self):
         seen = {}
         for lab in self.labels:
-            rows, _ = rref(Mat([list(self._normals[lab])]))
-            if rows in seen:
+            key = self._integral[lab]
+            if key in seen:
                 raise ValueError(
-                    f"hyperplanes {seen[rows]!r} and {lab!r} have the same kernel"
+                    f"hyperplanes {seen[key]!r} and {lab!r} have the same kernel"
                 )
-            seen[rows] = lab
+            seen[key] = lab
 
     def normal(self, label):
         try:
@@ -223,30 +234,35 @@ class CentralArrangement:
         return self._lattice
 
     def _build_lattice(self):
-        """BFS on codim: the covers of F are the residual parallel classes.
+        """BFS on codim: the covers of F are the classes of labels off F
+        whose images under n -> (n . k for k in K) are proportional.
 
-        Reduction modulo F's rref basis is linear with kernel X^perp, so two
-        labels off F cut the same cover iff their residues are proportional.
-        Only a cover not met before needs an rref, for its basis.
+        K is an integer basis of the flat F (unit vectors at the top, else
+        the free-column kernel vectors of F's echelon basis), so the map is
+        linear with kernel X^perp and two labels cut the same cover iff
+        their images span one line.  Kernels are kept for one level only;
+        only a cover not met before needs an rref, for its basis.
         """
+        dot, key, _ = _integral_ops(self._rt5)
+        ints = self._integral
         top = Flat(frozenset(), 0, (), ())
         by_labels = {top.closed_set: top}
         frontier = [top]
         while frontier:
             newly = []
             for fl in frontier:
+                ker = _integral_kernel(fl.normal_space, fl.pivots, self.dim, self._rt5)
                 classes = {}
                 for lab in self.labels:
                     if lab in fl.closed_set:
                         continue
-                    res = reduce_against(self._normals[lab], fl.normal_space, fl.pivots)
-                    lead = next(v for v in res if v != 0)
-                    classes.setdefault(tuple(v / lead for v in res), []).append(lab)
-                for res, cls in classes.items():
+                    n = ints[lab]
+                    classes.setdefault(key([dot(n, k) for k in ker]), []).append(lab)
+                for cls in classes.values():
                     closed = fl.closed_set.union(cls)
                     if closed in by_labels:
                         continue
-                    ns, piv = rref(Mat([*fl.normal_space, res]))
+                    ns, piv = rref([*fl.normal_space, self._normals[cls[0]]])
                     child = Flat(closed, fl.codim + 1, ns, piv)
                     by_labels[closed] = child
                     newly.append(child)
@@ -266,7 +282,11 @@ class CentralArrangement:
         if not labels:
             return Flat(frozenset(), 0, (), ())
         ns, piv = rref(Mat([list(self._normals[l]) for l in labels]))
-        closed = frozenset(l for l in self.labels if in_span(self._normals[l], ns, piv))
+        dot, _, zero = _integral_ops(self._rt5)
+        ker = _integral_kernel(ns, piv, self.dim, self._rt5)
+        closed = frozenset(
+            l for l in self.labels if all(dot(self._integral[l], k) == zero for k in ker)
+        )
         return Flat(closed, len(ns), ns, piv)
 
     def has_flat(self, x: Flat) -> bool:

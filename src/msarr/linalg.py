@@ -1,14 +1,25 @@
 """Exact linear algebra over an ordered field.
 
 Determinant and rank use fraction-free (Bareiss-style) elimination; reduced
-row echelon form is used for kernels, span membership and the bases of
-flats' normal spaces.  Everything operates on lists/tuples of exact scalars
-(see fields).
+row echelon form gives kernels and the bases of flats' normal spaces, and
+reduction modulo an echelon basis gives span tests.  Everything operates on
+lists/tuples of exact scalars (see fields).
+
+The private integral helpers serve the intersection lattice: a vector over
+Q becomes a primitive integer vector, a vector over Q(sqrt5) a pair of
+integer vectors (A, B) with the vector proportional to A + B*sqrt5, so
+closure tests are integer dot products against an integer kernel basis.
+They read the ``numerator``/``denominator`` fields of the rationals
+directly, so gmpy2's mpq should work as well as Fraction, but that backend
+has not been tested with them.
 """
 
 from __future__ import annotations
 
-from .fields import Q, as_scalar
+from math import gcd, lcm
+from operator import mul
+
+from .fields import Q, Qrt5, as_scalar
 
 __all__ = [
     "Mat",
@@ -169,8 +180,11 @@ def kernel_basis(m):
     a = _as_rows(m)
     if not a:
         return []
-    n = len(a[0])
-    rows, pivots = rref(a)
+    return _free_kernel(*rref(a), len(a[0]))
+
+
+def _free_kernel(rows, pivots, n):
+    """One kernel vector per free column of an rref basis of width n."""
     pivset = set(pivots)
     basis = []
     for free in range(n):
@@ -182,3 +196,83 @@ def kernel_basis(m):
             v[p] = -row[free]
         basis.append(v)
     return basis
+
+
+# -- integral forms ----------------------------------------------------------
+
+
+def _cleared(values):
+    """Integer multiples of rationals by their common denominator."""
+    den = lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values]
+
+
+def _primitive(v):
+    """Divide an integer vector by its gcd, making the lead positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def _primitive_rt5(a, b):
+    """Canonical (A, B) for the line of the nonzero vector a + b*sqrt5.
+
+    Multiplying by the conjugate of the lead entry makes the lead rational;
+    dividing by the gcd of all integer parts, with the lead's sign, leaves
+    one representative per Q(sqrt5)-line.
+    """
+    i = next(j for j in range(len(a)) if a[j] or b[j])
+    la, lb = a[i], b[i]
+    ca = [x * la - 5 * y * lb for x, y in zip(a, b)]
+    cb = [y * la - x * lb for x, y in zip(a, b)]
+    g = gcd(*ca, *cb)
+    if ca[i] < 0:
+        g = -g
+    return tuple(x // g for x in ca), tuple(y // g for y in cb)
+
+
+def _integral(vec, rt5):
+    """Canonical integral form of the line of a nonzero exact vector.
+
+    Over Q (rt5 false) a primitive integer tuple; over Q(sqrt5) an
+    (A, B) pair of integer tuples.  Equal forms mean parallel vectors.
+    """
+    if rt5:
+        parts = [(x.a, x.b) if isinstance(x, Qrt5) else (x, 0) for x in vec]
+        ints = _cleared([p[0] for p in parts] + [p[1] for p in parts])
+        return _primitive_rt5(ints[: len(vec)], ints[len(vec):])
+    return _primitive(_cleared([x.a if isinstance(x, Qrt5) else x for x in vec]))
+
+
+def _integral_kernel(rows, pivots, dim, rt5):
+    """Integral forms of the free-column kernel vectors of an rref basis."""
+    return [_integral(v, rt5) for v in _free_kernel(rows, pivots, dim)]
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _dot_rt5(u, v):
+    (a, b), (c, d) = u, v
+    return (
+        sum(map(mul, a, c)) + 5 * sum(map(mul, b, d)),
+        sum(map(mul, a, d)) + sum(map(mul, b, c)),
+    )
+
+
+def _image_key_rt5(images):
+    return _primitive_rt5(*zip(*images))
+
+
+def _integral_ops(rt5):
+    """(dot, key, zero) on integral forms over Q or Q(sqrt5).
+
+    dot(n, k) is the exact product of the vectors n and k stand for, up to
+    their integral scaling; key maps a nonzero list of such products to the
+    canonical form of its line; zero is the product of orthogonal vectors.
+    """
+    if rt5:
+        return _dot_rt5, _image_key_rt5, (0, 0)
+    return _dot, _primitive, 0

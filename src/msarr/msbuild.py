@@ -158,10 +158,30 @@ def moment_curve_base(s) -> GenericArrangement:
     return GenericArrangement(2, len(vals), tuple((Q(1), v) for v in vals))
 
 
+_DT_TABLES = {}
+
+
+def _dt_table(n: int, k: int):
+    """{T: labels of the I(T, j)} for every T in [n] with |T| > k.
+
+    T runs over sorted tuples by size, then lexicographically.  Tables are
+    kept in a module cache bounded by one entry per (n, k) pair met, each
+    with fewer than 2^n label tuples.
+    """
+    table = _DT_TABLES.get((n, k))
+    if table is None:
+        table = {
+            T: tuple(ms_label(T[:k] + (t,), n) for t in T[k:])
+            for size in range(k + 1, n + 1)
+            for T in combinations(range(1, n + 1), size)
+        }
+        _DT_TABLES[(n, k)] = table
+    return table
+
+
 def _dt_labels(m: MSArrangement, T):
     """Labels of the I(T, j): the k smallest elements of T plus one more."""
-    idx = sorted(T)
-    return [ms_label(idx[:m.k] + [t], m.n) for t in idx[m.k:]]
+    return _dt_table(m.n, m.k)[tuple(sorted(T))]
 
 
 def d_flat(m: MSArrangement, T) -> Flat:
@@ -200,11 +220,11 @@ def canonical_presentation(m: MSArrangement, x: Flat):
     """
     from .pnk import SetFamily
 
-    containing = []
-    for size in range(m.k + 1, m.n + 1):
-        for T in combinations(range(1, m.n + 1), size):
-            if all(l in x.closed_set for l in _dt_labels(m, T)):
-                containing.append(frozenset(T))
+    containing = [
+        frozenset(T)
+        for T, labels in _dt_table(m.n, m.k).items()
+        if x.closed_set.issuperset(labels)
+    ]
     maximal = [
         T for T in containing if not any(T < U for U in containing)
     ]

@@ -72,6 +72,22 @@ def echelon_lattice(arrangement):
     return sorted(by_key.values(), key=lambda f: (f.codim, f.sorted_labels()))
 
 
+def span_closure_flat(arrangement, labels):
+    """The flat spanned by labels, closed by a span test of every normal.
+
+    The echelon basis of the labels' normals gives codim, X^perp and its
+    pivots; a label is in the closed set iff its normal reduces to zero
+    modulo that basis.
+    """
+    a = arrangement
+    labels = list(labels)
+    if not labels:
+        return Flat(frozenset(), 0, (), ())
+    ns, piv = rref(Mat([list(a.normal(l)) for l in labels]))
+    closed = frozenset(l for l in a.labels if in_span(a.normal(l), ns, piv))
+    return Flat(closed, len(ns), ns, piv)
+
+
 def braid3_chamber_strings(order):
     """The six chamber sign vectors of the rank-2 braid arrangement.
 

@@ -1,18 +1,23 @@
 """Arrangement lattice, chambers, essentialization and circuits."""
 
 import json
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from msarr.errors import GuardExceeded
-from msarr.fields import Q
+from msarr.fields import PHI, Q, Qrt5
+from msarr.linalg import Mat, rank
 from msarr import (
     CentralArrangement,
     SignVector,
     GordanCertificate,
     build_ms,
     intersection_lattice,
+    moment_curve_base,
     lattice_isomorphic_to_pnk,
     localization,
     essentialize,
@@ -49,6 +54,28 @@ def test_rejects_parallel_normals():
         CentralArrangement(2, [("a", [1, 1]), ("b", [2, 2])])
 
 
+RT5 = Qrt5(0, 1)
+_V = [Q(1), Q(2), PHI]
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ([Q(1, 2), Q(-1)], [Q(-3), Q(6)]),
+        (_V, [PHI * x for x in _V]),
+        ([Q(1), RT5], [RT5, Q(5)]),
+    ],
+)
+def test_rejects_parallel_by_integral_normal(u, v):
+    with pytest.raises(ValueError, match="hyperplanes 'a' and 'b' have the same kernel"):
+        CentralArrangement(len(u), [("a", u), ("b", v)])
+
+
+def test_accepts_non_parallel_over_rt5():
+    a = CentralArrangement(2, [("a", [Q(1), PHI]), ("b", [Q(1), Q(1)])])
+    assert [f.codim for f in a.full_lattice()] == [0, 1, 1, 2]
+
+
 # -- lattice vs brute force ------------------------------------------------
 
 
@@ -80,15 +107,42 @@ def flat_data(flats):
     return [(f.codim, f.closed_set, f.normal_space, f.pivots) for f in flats]
 
 
+def non_essential_rational():
+    """Rank 3 in Q^4 (every normal is orthogonal to (1, 2, -1, 3)), with
+    mixed signs and denominators and negative leading entries."""
+    return CentralArrangement(
+        4,
+        [
+            ("a", [Q(-1), Q(1, 2), 0, 0]),
+            ("b", [Q(2, 3), 0, Q(2, 3), 0]),
+            ("c", [Q(-3, 5), 0, 0, Q(1, 5)]),
+            ("d", [Q(-21, 4), Q(7, 4), Q(-7, 4), 0]),
+            ("e", [Q(-1, 3), 0, Q(1, 6), Q(1, 6)]),
+            ("f", [Q(-18, 7), Q(3, 7), Q(-3, 7), Q(3, 7)]),
+            ("g", [Q(-10), Q(-5, 2), 0, Q(5)]),
+        ],
+    )
+
+
 def lattice_case(name, ms63):
+    """(arrangement, its MSArrangement or None)."""
     if name in ("falk", "h3"):
-        return build_ms(named_base(name))
-    if name == "ms63":
-        return ms63
-    w = witness_rank_r(6, 2, seed=0)
-    if name == "witness-62":
-        return build_ms(w.witness_base)
-    return perturb_to_very_generic(w, seed=0)[0]
+        m = build_ms(named_base(name))
+    elif name == "ms63":
+        m = ms63
+    elif name == "moment-52":
+        m = build_ms(moment_curve_base([0, 1, 2, 3, 4]))
+    elif name == "h3-essential":
+        return essentialize(build_ms(named_base("h3")).arrangement)[0], None
+    elif name == "non-essential":
+        return non_essential_rational(), None
+    else:
+        w = witness_rank_r(6, 2, seed=0)
+        if name == "witness-62":
+            m = build_ms(w.witness_base)
+        else:
+            m = perturb_to_very_generic(w, seed=0)[0]
+    return m.arrangement, m
 
 
 @pytest.mark.parametrize(
@@ -99,13 +153,95 @@ def lattice_case(name, ms63):
         ("witness-62", (False, SetFamily(6, 2, [{1, 2, 3}, {1, 4, 6}, {3, 5, 6}]))),
         ("perturbed-62", (True, None)),
         ("ms63", (True, None)),
+        ("moment-52", (True, None)),
+        ("h3-essential", None),
+        ("non-essential", None),
     ],
 )
 def test_lattice_matches_echelon_oracle(name, iso, ms63_very_generic):
-    m = lattice_case(name, ms63_very_generic)
-    a = m.arrangement
+    a, m = lattice_case(name, ms63_very_generic)
     assert flat_data(a.full_lattice()) == flat_data(oracles.echelon_lattice(a))
-    assert lattice_isomorphic_to_pnk(m) == iso
+    if m is not None:
+        assert lattice_isomorphic_to_pnk(m) == iso
+
+
+def test_non_essential_case_has_rank_three():
+    a = non_essential_rational()
+    assert a.rank() == 3
+    assert all(sum(c * u for c, u in zip(a.normal(l), (1, 2, -1, 3))) == 0 for l in a.labels)
+    assert max(f.codim for f in a.full_lattice()) == 3
+
+
+def _entry(rt5):
+    rational = st.builds(Q, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    if not rt5:
+        return rational
+    return st.builds(Qrt5, rational, rational)
+
+
+@st.composite
+def small_arrangements(draw, rt5):
+    dim = draw(st.integers(2, 4))
+    normals = draw(
+        st.lists(
+            st.lists(_entry(rt5), min_size=dim, max_size=dim).filter(lambda v: any(v)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return dim, normals
+
+
+@pytest.mark.parametrize("rt5", [False, True], ids=["Q", "Qrt5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lattice_matches_echelon_oracle_on_random_arrangements(rt5, data):
+    dim, normals = data.draw(small_arrangements(rt5))
+    assume(all(rank(Mat([u, v])) == 2 for i, u in enumerate(normals) for v in normals[:i]))
+    a = CentralArrangement(dim, [(f"h{i}", v) for i, v in enumerate(normals)])
+    assert flat_data(a.full_lattice()) == flat_data(oracles.echelon_lattice(a))
+
+
+def _rescaled(a, factors):
+    return CentralArrangement(
+        a.dim,
+        [
+            (l, [factors[i % len(factors)] * c for c in a.normal(l)])
+            for i, l in enumerate(a.labels)
+        ],
+    )
+
+
+@pytest.mark.parametrize("name", ["falk", "h3", "non-essential"])
+@pytest.mark.parametrize(
+    "factors",
+    [(Q(-3), Q(2, 7)), (PHI, -RT5), (Qrt5(-3), Qrt5(Q(2, 7)))],
+    ids=["Q", "Qrt5", "rational-Qrt5"],
+)
+def test_rescaling_normals_keeps_the_lattice(name, factors, ms63_very_generic):
+    a, _ = lattice_case(name, ms63_very_generic)
+    b = _rescaled(a, factors)
+    assert [(f.codim, f.closed_set) for f in b.full_lattice()] == [
+        (f.codim, f.closed_set) for f in a.full_lattice()
+    ]
+
+
+@pytest.mark.parametrize("name", ["falk", "h3", "boolean-4", "witness-62", "perturbed-62"])
+def test_flat_of_matches_span_closure_oracle(name, ms63_very_generic):
+    if name == "boolean-4":
+        a = boolean(4)
+    else:
+        a, _ = lattice_case(name, ms63_very_generic)
+    rng = random.Random(name)
+    for _ in range(40):
+        labels = rng.sample(a.labels, rng.randint(1, min(5, len(a.labels))))
+        got, want = a.flat_of(labels), oracles.span_closure_flat(a, labels)
+        assert (got.closed_set, got.codim, got.normal_space, got.pivots) == (
+            want.closed_set,
+            want.codim,
+            want.normal_space,
+            want.pivots,
+        )
 
 
 def test_flat_of_and_has_flat(br3):
