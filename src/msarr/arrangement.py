@@ -6,7 +6,8 @@ codimension; a flat is identified by its closed label set, the labels of
 the hyperplanes containing it), localizations, an essentialization with a
 point back-map, chamber sign vectors, the Zaslavsky chamber count used as
 an independent oracle, and minimal circuits with their dependency
-coefficients.
+coefficients.  Beside the lattice each arrangement keeps every closed set
+as an integer label mask, for subset tests by bit operations.
 
 Every lattice decision runs on integers: at construction each normal gets
 one canonical integral form (a primitive integer vector over Q, an integer
@@ -168,6 +169,7 @@ class CentralArrangement:
         self._reject_parallel()
         # filled lazily, write-once
         self._lattice = None
+        self._masks = None
         self._rank = None
         self._chambers = None
 
@@ -231,7 +233,20 @@ class CentralArrangement:
     def full_lattice(self):
         if self._lattice is None:
             self._lattice = self._build_lattice()
+            bit = {l: 1 << i for i, l in enumerate(self.labels)}
+            self._masks = tuple(
+                sum(bit[l] for l in f.closed_set) for f in self._lattice
+            )
         return self._lattice
+
+    def lattice_masks(self) -> tuple:
+        """Closed sets of full_lattice() as integers, in the same order.
+
+        Bit i stands for the i-th label, so containment of closed sets is
+        the test x & y == x.  One integer per flat, built with the lattice.
+        """
+        self.full_lattice()
+        return self._masks
 
     def _build_lattice(self):
         """BFS on codim: the covers of F are the classes of labels off F
@@ -397,22 +412,17 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:
-    """Chamber count as sum of |mu(bottom, X)| over the full lattice."""
-    flats = a.full_lattice()
-    # order by closed-set containment; valid since closed sets determine flats
-    mu = {}
-    total = 0
-    for f in flats:  # already graded by codim, so predecessors come first
-        if f.codim == 0:
-            m = 1
-        else:
-            m = 0
-            for g in flats:
-                if g.codim < f.codim and g.closed_set <= f.closed_set:
-                    m -= mu[g.closed_set]
-        mu[f.closed_set] = m
-        total += abs(m)
-    return total
+    """Chamber count as sum of |mu(bottom, X)| over the full lattice.
+
+    Flats are ordered by containment of their closed sets (which determine
+    them), tested on the label masks.  A closed set contains only those of
+    flats of smaller codim, and the lattice lists those first.
+    """
+    masks = a.lattice_masks()
+    mu = [1]
+    for x in masks[1:]:
+        mu.append(-sum(m for y, m in zip(masks, mu) if y & x == y))
+    return sum(abs(m) for m in mu)
 
 
 def circuits(a: CentralArrangement, max_size: int):

@@ -2,8 +2,11 @@
 
 Flat families are validated against three axioms at construction: the
 ground set is a flat, flats are closed under intersection, and for every
-flat the covers partition the remaining elements.  All operations
-(rank, closure, paving test, contraction) read the flat family directly.
+flat the covers partition the remaining elements.  The check runs on
+integer masks of the flats (bit i for the i-th ground element) and keeps
+each flat's height, so rank, closure, coatoms and the paving test are
+integer subset tests and bit counts.  The flat family itself stays a
+frozenset of frozensets.
 """
 
 from __future__ import annotations
@@ -31,59 +34,71 @@ class Matroid:
             ground = range(1, ground + 1)
         self.ground = frozenset(ground)
         self.flats = frozenset(frozenset(f) for f in flats)
-        self._validate()
-        self._heights = None
+        self._bit = {e: 1 << i for i, e in enumerate(self.ground)}
+        self._heights = self._validate()
+
+    def _mask(self, s) -> int:
+        return sum(self._bit[e] for e in s)
+
+    def _set(self, mask) -> frozenset:
+        return frozenset(e for e, b in self._bit.items() if mask & b)
 
     def _validate(self):
+        """Check the flat axioms on integer masks; return {mask: height}.
+
+        Masks are scanned by size, so every flat comes after the flats
+        inside it: the first is the bottom, and a flat above f is a cover
+        of f iff it contains none of the covers already found.  The
+        returned dict keeps that order.
+        """
         if self.ground not in self.flats:
             raise ValueError("ground set must be a flat")
         for f in self.flats:
             if not f <= self.ground:
                 raise ValueError(f"flat {sorted(f)} exceeds the ground set")
-        for f, g in combinations(self.flats, 2):
-            if f & g not in self.flats:
+        masks = sorted((self._mask(f) for f in self.flats), key=int.bit_count)
+        present = set(masks)
+        for f, g in combinations(masks, 2):
+            if f & g not in present:
                 raise ValueError(
-                    f"flats {sorted(f)} and {sorted(g)} have a non-flat intersection"
+                    f"flats {sorted(self._set(f))} and {sorted(self._set(g))} "
+                    "have a non-flat intersection"
                 )
-        for f in self.flats:
-            if f == self.ground:
+        full = self._mask(self.ground)
+        heights = {masks[0]: 0}
+        for i, f in enumerate(masks):
+            if f == full:
                 continue
-            blocks = [g - f for g in self._covers(f)]
-            rest = self.ground - f
-            if sum(len(b) for b in blocks) != len(rest) or frozenset().union(*blocks) != rest:
+            covers = []
+            for g in masks[i + 1 :]:
+                if g & f == f and not any(c & g == c for c in covers):
+                    covers.append(g)
+            blocks = [g ^ f for g in covers]
+            union = 0
+            for b in blocks:
+                union |= b
+            if union != full ^ f or sum(b.bit_count() for b in blocks) != union.bit_count():
                 raise ValueError(
-                    f"covers of flat {sorted(f)} do not partition the complement"
+                    f"covers of flat {sorted(self._set(f))} do not partition the complement"
                 )
-
-    def _covers(self, f):
-        above = [g for g in self.flats if f < g]
-        return [g for g in above if not any(h < g for h in above if f < h)]
+            for g in covers:
+                heights[g] = heights[f] + 1
+        return {f: heights[f] for f in masks}
 
     def closure(self, s):
         s = frozenset(s)
         if not s <= self.ground:
             raise ValueError("set is not contained in the ground set")
-        candidates = [f for f in self.flats if s <= f]
-        out = self.ground
-        for f in candidates:
-            out = out & f
-        return out
+        # the smallest flat containing s lies inside every other one
+        x = self._mask(s)
+        return self._set(next(f for f in self._heights if f & x == x))
 
     def coatoms(self):
-        return frozenset(self._covers_below_ground())
-
-    def _covers_below_ground(self):
-        below = [f for f in self.flats if f != self.ground]
-        return [f for f in below if not any(f < g for g in below)]
+        r = self._heights[self._mask(self.ground)]
+        return frozenset(self._set(f) for f, h in self._heights.items() if h == r - 1)
 
     def height(self, f):
-        if self._heights is None:
-            hs = {}
-            for g in sorted(self.flats, key=len):
-                subs = [hs[h] for h in self.flats if h < g and h in hs]
-                hs[g] = 1 + max(subs) if subs else 0
-            self._heights = hs
-        return self._heights[frozenset(f)]
+        return self._heights[self._mask(frozenset(f))]
 
     def __eq__(self, other):
         return (
@@ -142,14 +157,14 @@ def matroid_rank(m: Matroid) -> int:
 
 
 def is_paving(m: Matroid) -> bool:
-    """Closure of every (rank-1)-subset of the ground set is a coatom."""
+    """Closure of every (rank-1)-subset of the ground set is a coatom.
+
+    That holds iff every set of at most rank - 1 elements is independent,
+    so iff every flat of height at most rank - 2 has as many elements as
+    its height.
+    """
     r = matroid_rank(m)
-    if r == 0:
-        return True
-    coat = m.coatoms()
-    return all(
-        m.closure(s) in coat for s in combinations(sorted(m.ground), r - 1)
-    )
+    return all(f.bit_count() == h for f, h in m._heights.items() if h <= r - 2)
 
 
 def contract(m: Matroid, e) -> Matroid:

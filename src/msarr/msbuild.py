@@ -10,7 +10,7 @@ presentations, the very-genericity test, and a seeded random sampler.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .arrangement import CentralArrangement, Flat
@@ -56,6 +56,8 @@ class GenericArrangement:
     k: int
     n: int
     columns: tuple  # n column vectors of length k
+    # sorted k-subset -> maximal minor, filled on first use: at most C(n, k)
+    _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < self.k:
@@ -79,10 +81,16 @@ class GenericArrangement:
         return self.columns[i - 1]
 
     def minor(self, idx) -> object:
-        idx = sorted(idx)
+        """Determinant of the columns idx, in increasing order; each is
+        computed once per base."""
+        idx = tuple(sorted(idx))
         if len(idx) != self.k:
             raise ValueError("minor needs exactly k column indices")
-        return det(Mat([[self.columns[j - 1][i] for j in idx] for i in range(self.k)]))
+        value = self._minors.get(idx)
+        if value is None:
+            value = det(Mat([[self.columns[j - 1][i] for j in idx] for i in range(self.k)]))
+            self._minors[idx] = value
+        return value
 
 
 def is_generic(rows) -> bool:

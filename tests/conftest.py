@@ -9,7 +9,9 @@ from msarr import (
     CentralArrangement,
     build_ms,
     moment_curve_base,
+    perturb_to_very_generic,
     random_very_generic,
+    witness_rank_r,
 )
 
 
@@ -33,6 +35,18 @@ def ms52():
 @pytest.fixture(scope="session")
 def ms63_very_generic():
     return random_very_generic(6, 3, seed=1)
+
+
+@pytest.fixture(scope="session")
+def w62():
+    return witness_rank_r(6, 2, seed=0)
+
+
+@pytest.fixture(scope="session")
+def ms62_perturbed(w62):
+    """The witness_rank_r(6, 2) base made very generic: 20 hyperplanes,
+    323 flats."""
+    return perturb_to_very_generic(w62, seed=0)[0]
 
 
 def boolean(rank):

@@ -9,9 +9,9 @@ from itertools import combinations, permutations, product
 from msarr.arrangement import Flat
 from msarr.feasibility import _phase1, strict_feasibility
 from msarr.fields import Q, as_scalar
-from msarr.linalg import Mat, in_span, rank, rref
-from msarr.msbuild import alpha_I
-from msarr.pnk import SetFamily
+from msarr.linalg import Mat, det, in_span, rank, rref
+from msarr.msbuild import _dt_labels, alpha_I
+from msarr.pnk import SetFamily, enumerate_pnk, pnk_rank
 from msarr.sigma import walls
 
 
@@ -240,3 +240,125 @@ def elimination_presentations(m):
         maximal = [T for T in containing if not any(T < U for U in containing)]
         out[x.closed_set] = SetFamily(m.n, m.k, maximal, check_antichain=True)
     return out
+
+
+def det_alpha_I(g, I):
+    """Normal of D_I with each signed minor computed by its own det."""
+    idx = sorted(I)
+    out = [Q(0)] * g.n
+    for p, ip in enumerate(idx):
+        rest = [j for j in idx if j != ip]
+        minor = det(Mat([[g.columns[j - 1][i] for j in rest] for i in range(g.k)]))
+        out[ip - 1] = minor if p % 2 == 0 else -minor
+    return tuple(out)
+
+
+def flat_of_isomorphic_to_pnk(m):
+    """P(n, k) isomorphism check with one flat_of closure per family.
+
+    Enumerates P(n, k) afresh and takes each family's flat to be
+    flat_of of its D_T labels (an rref plus a closure scan).
+    """
+    a = m.arrangement
+    seen = set()
+    for fam in enumerate_pnk(m.n, m.k, a.rank()):
+        x = a.flat_of(l for T in fam.members for l in _dt_labels(m, T))
+        if x.codim != pnk_rank(fam) or x.closed_set in seen:
+            return False, fam
+        seen.add(x.closed_set)
+    if len(seen) != len(a.full_lattice()):
+        return False, None
+    return True, None
+
+
+def set_zaslavsky_chambers(a):
+    """Sum of |mu(bottom, X)|, with mu keyed and ordered by closed sets."""
+    flats = a.full_lattice()
+    mu = {}
+    total = 0
+    for f in flats:
+        if f.codim == 0:
+            m = 1
+        else:
+            m = 0
+            for g in flats:
+                if g.codim < f.codim and g.closed_set <= f.closed_set:
+                    m -= mu[g.closed_set]
+        mu[f.closed_set] = m
+        total += abs(m)
+    return total
+
+
+class SetMatroid:
+    """Matroid on a frozenset flat family, every question answered by
+    scanning the flats: axioms pair by pair, covers as the minimal flats
+    above, closure as an intersection, height as the longest chain."""
+
+    def __init__(self, ground, flats):
+        if isinstance(ground, int):
+            ground = range(1, ground + 1)
+        self.ground = frozenset(ground)
+        self.flats = frozenset(frozenset(f) for f in flats)
+        self._validate()
+        self._heights = None
+
+    def _validate(self):
+        if self.ground not in self.flats:
+            raise ValueError("ground set must be a flat")
+        for f in self.flats:
+            if not f <= self.ground:
+                raise ValueError(f"flat {sorted(f)} exceeds the ground set")
+        for f, g in combinations(self.flats, 2):
+            if f & g not in self.flats:
+                raise ValueError(
+                    f"flats {sorted(f)} and {sorted(g)} have a non-flat intersection"
+                )
+        for f in self.flats:
+            if f == self.ground:
+                continue
+            blocks = [g - f for g in self._covers(f)]
+            rest = self.ground - f
+            if sum(len(b) for b in blocks) != len(rest) or frozenset().union(*blocks) != rest:
+                raise ValueError(
+                    f"covers of flat {sorted(f)} do not partition the complement"
+                )
+
+    def _covers(self, f):
+        above = [g for g in self.flats if f < g]
+        return [g for g in above if not any(h < g for h in above if f < h)]
+
+    def closure(self, s):
+        s = frozenset(s)
+        if not s <= self.ground:
+            raise ValueError("set is not contained in the ground set")
+        out = self.ground
+        for f in self.flats:
+            if s <= f:
+                out = out & f
+        return out
+
+    def coatoms(self):
+        below = [f for f in self.flats if f != self.ground]
+        return frozenset(f for f in below if not any(f < g for g in below))
+
+    def height(self, f):
+        if self._heights is None:
+            hs = {}
+            for g in sorted(self.flats, key=len):
+                subs = [hs[h] for h in self.flats if h < g and h in hs]
+                hs[g] = 1 + max(subs) if subs else 0
+            self._heights = hs
+        return self._heights[frozenset(f)]
+
+    def rank(self):
+        return self.height(self.ground)
+
+    def is_paving(self):
+        """Closure of every (rank-1)-subset of the ground set is a coatom."""
+        r = self.rank()
+        if r == 0:
+            return True
+        coat = self.coatoms()
+        return all(
+            self.closure(s) in coat for s in combinations(sorted(self.ground), r - 1)
+        )

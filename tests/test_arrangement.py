@@ -340,6 +340,25 @@ def test_zaslavsky_agrees(br3, boolean2):
         assert zaslavsky_chambers(boolean(r)) == 2**r
 
 
+@pytest.mark.parametrize("name", ["falk", "h3", "boolean-4", "perturbed-62"])
+def test_zaslavsky_matches_closed_set_oracle(name, ms62_perturbed):
+    if name == "boolean-4":
+        a = boolean(4)
+    elif name == "perturbed-62":
+        a = ms62_perturbed.arrangement
+    else:
+        a = build_ms(named_base(name)).arrangement
+    assert zaslavsky_chambers(a) == oracles.set_zaslavsky_chambers(a)
+
+
+def test_lattice_masks_are_the_closed_sets(ms52):
+    a = ms52.arrangement
+    masks = a.lattice_masks()
+    assert len(masks) == len(a.full_lattice())
+    for x, f in zip(masks, a.full_lattice()):
+        assert {l for i, l in enumerate(a.labels) if x >> i & 1} == f.closed_set
+
+
 def test_chamber_guard_fires():
     big = CentralArrangement(
         2, [(f"h{i}", [1, i]) for i in range(23)]

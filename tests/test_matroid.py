@@ -1,7 +1,10 @@
 """Flats-presented matroids: axioms, rank, paving, contraction."""
 
+import random
+
 import pytest
 
+import oracles
 from msarr import (
     Matroid,
     SetFamily,
@@ -17,6 +20,18 @@ from msarr.matroid import free_matroid
 
 
 FALK_FAMILY = SetFamily(6, 3, [{1, 2, 4, 5}, {1, 3, 4, 6}, {2, 3, 5, 6}])
+
+# rank 3 with 1 and 2 parallel
+PARALLEL_FLATS = [
+    frozenset(),
+    frozenset({1, 2}),
+    frozenset({3}),
+    frozenset({4}),
+    frozenset({1, 2, 3}),
+    frozenset({1, 2, 4}),
+    frozenset({3, 4}),
+    frozenset({1, 2, 3, 4}),
+]
 
 
 # -- axioms ---------------------------------------------------------------------
@@ -38,6 +53,24 @@ def test_cover_partition_required():
     flats = [frozenset(), frozenset({1}), frozenset({1, 2, 3})]
     with pytest.raises(ValueError, match="partition"):
         Matroid(3, flats)
+
+
+def _dropped(a, codim):
+    """The flats of a's matroid without the first of codim codim."""
+    idx = {l: i + 1 for i, l in enumerate(a.labels)}
+    drop = next(f for f in a.full_lattice() if f.codim == codim)
+    flats = [frozenset(idx[l] for l in f.closed_set) for f in a.full_lattice() if f != drop]
+    return a.n_hyperplanes, flats
+
+
+@pytest.mark.parametrize("codim, match", [(2, "non-flat intersection"), (3, "partition")])
+@pytest.mark.parametrize("cls", [Matroid, oracles.SetMatroid], ids=["masks", "sets"])
+def test_lattice_missing_a_flat_rejected(codim, match, cls, ms62_perturbed):
+    # rank 4: a codim-2 flat is a meet of coatoms, a codim-3 flat a coatom
+    a = ms62_perturbed.arrangement
+    assert a.rank() == 4
+    with pytest.raises(ValueError, match=match):
+        cls(*_dropped(a, codim))
 
 
 def test_flats_must_fit_ground():
@@ -95,21 +128,47 @@ def test_paving_examples():
 
 
 def test_non_paving_matroid():
-    # rank 3 with 1 and 2 parallel: closure of {1,2} is the height-1 flat
-    # {1,2}, which sits strictly below the line {1,2,3}, so it is no coatom
-    flats = {
-        frozenset(),
-        frozenset({1, 2}),
-        frozenset({3}),
-        frozenset({4}),
-        frozenset({1, 2, 3}),
-        frozenset({1, 2, 4}),
-        frozenset({3, 4}),
-        frozenset({1, 2, 3, 4}),
-    }
-    m = Matroid(4, flats)
+    # closure of {1,2} is the height-1 flat {1,2}, which sits strictly
+    # below the line {1,2,3}, so it is no coatom
+    m = Matroid(4, PARALLEL_FLATS)
     assert matroid_rank(m) == 3
     assert not is_paving(m)
+
+
+def matroid_case(name, request):
+    if name == "uniform-3-6":
+        return uniform_matroid(3, 6)
+    if name == "free-4":
+        return free_matroid(4)
+    if name == "parallel":
+        return Matroid(4, PARALLEL_FLATS)
+    fixture = {"ms52": "ms52", "perturbed-62": "ms62_perturbed"}[name]
+    return matroid_of_arrangement(request.getfixturevalue(fixture).arrangement)
+
+
+@pytest.mark.parametrize(
+    "name, paving",
+    [
+        ("uniform-3-6", True),
+        ("free-4", True),
+        ("parallel", False),
+        ("ms52", True),
+        ("perturbed-62", False),
+    ],
+)
+def test_matroid_matches_set_oracle(name, paving, request):
+    m = matroid_case(name, request)
+    ref = oracles.SetMatroid(m.ground, m.flats)
+    assert m.flats == ref.flats
+    assert m.coatoms() == ref.coatoms()
+    assert matroid_rank(m) == ref.rank()
+    assert all(m.height(f) == ref.height(f) for f in m.flats)
+    rng = random.Random(name)
+    ground = sorted(m.ground)
+    for _ in range(60):
+        s = rng.sample(ground, rng.randint(0, min(5, len(ground))))
+        assert m.closure(s) == ref.closure(s)
+    assert is_paving(m) is ref.is_paving() is paving
 
 
 # -- contraction ------------------------------------------------------------------------

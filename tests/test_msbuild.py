@@ -1,12 +1,14 @@
 """Discriminantal arrangement construction and genericity strata."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import msarr.msbuild
 import oracles
 from msarr.fields import Q
-from msarr.linalg import Mat, rank, rref
+from msarr.linalg import Mat, det, rank, rref
 from msarr import (
     GenericArrangement,
     alpha_I,
@@ -113,6 +115,40 @@ def test_rank_one_base_gives_braid_pattern():
     assert [by_codim[i] for i in range(4)] == [1, 6, 7, 1]
     ess, _ = essentialize(m.arrangement)
     assert len(chamber_sign_vectors(ess)) == 24
+
+
+@pytest.mark.parametrize("name", ["moment-52", "h3", "random-63"])
+def test_alpha_matches_per_minor_det(name):
+    if name == "moment-52":
+        g = moment_curve_base([0, 1, 2, 3, 4])
+    elif name == "h3":
+        g = named_base("h3")
+    else:
+        g = random_generic(6, 3, seed=5)
+    for I in combinations(range(1, g.n + 1), g.k + 1):
+        assert alpha_I(g, I) == oracles.det_alpha_I(g, I)
+
+
+def test_each_minor_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return det(m)
+
+    monkeypatch.setattr(msarr.msbuild, "det", counting)
+    for k, n in ((3, 6), (2, 6)):
+        columns = random_generic(n, k, seed=3).columns
+        calls.clear()
+        g = GenericArrangement(k, n, columns)
+        build_ms(g)
+        assert len(calls) == comb(n, k)
+        assert is_generic(g) and len(calls) == comb(n, k)
+        # the order perturb_to_very_generic and random_very_generic use
+        g = GenericArrangement(k, n, columns)
+        assert is_generic(g)
+        build_ms(g)
+        assert len(calls) == 2 * comb(n, k)
 
 
 # -- moment curve ------------------------------------------------------------------

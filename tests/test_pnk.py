@@ -2,6 +2,9 @@
 
 import pytest
 
+import msarr.arrangement
+import msarr.pnk
+import oracles
 from msarr.errors import GuardExceeded
 from msarr import (
     SetFamily,
@@ -94,6 +97,65 @@ def test_iso_false_for_falk():
     ok, bad = lattice_isomorphic_to_pnk(build_ms(named_base("falk")))
     assert not ok
     assert bad is not None
+
+
+def iso_case(name, request):
+    if name == "moment-52":
+        return request.getfixturevalue("ms52")
+    if name == "ms63":
+        return request.getfixturevalue("ms63_very_generic")
+    if name == "perturbed-62":
+        return request.getfixturevalue("ms62_perturbed")
+    if name == "witness-62":
+        return build_ms(request.getfixturevalue("w62").witness_base)
+    return build_ms(named_base(name))
+
+
+@pytest.mark.parametrize(
+    "name, ok",
+    [
+        ("moment-52", True),
+        ("ms63", True),
+        ("perturbed-62", True),
+        ("witness-62", False),
+        ("h3", False),
+    ],
+)
+def test_iso_matches_flat_of_oracle(name, ok, request):
+    m = iso_case(name, request)
+    got = lattice_isomorphic_to_pnk(m)
+    assert got == oracles.flat_of_isomorphic_to_pnk(m)
+    assert got[0] is ok and (got[1] is None) is ok
+
+
+def test_iso_reads_the_built_lattice(ms62_perturbed, monkeypatch):
+    """Once the lattice is built, a repeated check runs no rref and no
+    enumeration."""
+    lattice_isomorphic_to_pnk(ms62_perturbed)
+    calls = {"rref": 0, "enumerate_pnk": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(msarr.arrangement, "rref", counting("rref", msarr.arrangement.rref))
+    monkeypatch.setattr(
+        msarr.pnk, "enumerate_pnk", counting("enumerate_pnk", msarr.pnk.enumerate_pnk)
+    )
+    assert lattice_isomorphic_to_pnk(ms62_perturbed) == (True, None)
+    assert calls == {"rref": 0, "enumerate_pnk": 0}
+
+
+def test_iso_unaffected_by_mutating_an_enumeration(ms52):
+    assert lattice_isomorphic_to_pnk(ms52) == (True, None)
+    fams = enumerate_pnk(5, 2, 3)
+    fams.clear()
+    fams.append(fam(5, 2, [1, 2, 3], [1, 2, 4]))
+    assert len(enumerate_pnk(5, 2, 3)) == 32
+    assert lattice_isomorphic_to_pnk(ms52) == (True, None)
 
 
 def test_set_family_json_roundtrip():
