@@ -166,6 +166,7 @@ class CentralArrangement:
             isinstance(v, Qrt5) and v.b != 0 for nv in normals.values() for v in nv
         )
         self._integral = {l: _integral(nv, self._rt5) for l, nv in normals.items()}
+        self._bits = {l: 1 << i for i, l in enumerate(labels)}
         self._reject_parallel()
         # filled lazily, write-once
         self._lattice = None
@@ -233,17 +234,24 @@ class CentralArrangement:
     def full_lattice(self):
         if self._lattice is None:
             self._lattice = self._build_lattice()
-            bit = {l: 1 << i for i, l in enumerate(self.labels)}
-            self._masks = tuple(
-                sum(bit[l] for l in f.closed_set) for f in self._lattice
-            )
+            self._masks = tuple(self.label_mask(f.closed_set) for f in self._lattice)
         return self._lattice
 
-    def lattice_masks(self) -> tuple:
-        """Closed sets of full_lattice() as integers, in the same order.
+    def label_mask(self, labels) -> int:
+        """The labels as an integer: bit i stands for the i-th label."""
+        mask = 0
+        for l in labels:
+            try:
+                mask |= self._bits[l]
+            except KeyError:
+                raise KeyError(f"unknown hyperplane label {l!r}") from None
+        return mask
 
-        Bit i stands for the i-th label, so containment of closed sets is
-        the test x & y == x.  One integer per flat, built with the lattice.
+    def lattice_masks(self) -> tuple:
+        """Closed sets of full_lattice() as label masks, in the same order.
+
+        Containment of closed sets is the test x & y == x.  One integer per
+        flat, built with the lattice.
         """
         self.full_lattice()
         return self._masks

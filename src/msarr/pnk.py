@@ -6,11 +6,9 @@ of two or more members.  For very generic bases the map sending a family
 to the intersection of its D_T flats is a rank-preserving bijection onto
 the intersection lattice.
 
-The isomorphism check reads each family's flat off the built lattice by
-label masks.  The (family, rank, label mask) lists it needs are kept in a
-module cache with one entry per (n, k, rank) met.  Enumeration stops at
-n <= 8 and a lattice has rank <= n, so the cache holds at most 285
-entries, each no longer than P(n, k).
+The isomorphism check enumerates P(n, k) on each call and reads each
+family's flat off the built lattice by label masks, with no echelon form.
+Enumeration stops at n <= 8.
 """
 
 from __future__ import annotations
@@ -132,34 +130,6 @@ def enumerate_pnk(n: int, k: int, max_rank: int):
     return graded
 
 
-_PNK_MASKS = {}
-
-
-def _pnk_masks(m, max_rank: int):
-    """(family, rank, mask of its D_T labels) for every element of P(n, k)
-    of rank <= max_rank, in enumerate_pnk order.
-
-    Bit i stands for the i-th hyperplane of m; build_ms lists them in one
-    order for each (n, k), so the tuple is cached per (n, k, max_rank)
-    (see the module docstring for the bound).
-    """
-    key = (m.n, m.k, max_rank)
-    out = _PNK_MASKS.get(key)
-    if out is None:
-        from .msbuild import _dt_labels
-
-        bit = {l: 1 << i for i, l in enumerate(m.arrangement.labels)}
-        out = []
-        for fam in enumerate_pnk(m.n, m.k, max_rank):
-            mask = 0
-            for T in fam.members:
-                for label in _dt_labels(m, T):
-                    mask |= bit[label]
-            out.append((fam, pnk_rank(fam), mask))
-        out = _PNK_MASKS[key] = tuple(out)
-    return out
-
-
 def lattice_isomorphic_to_pnk(m):
     """(bool, counterexample family or None).
 
@@ -171,13 +141,16 @@ def lattice_isomorphic_to_pnk(m):
     closed set contains L: every such flat lies inside the intersection of
     the hyperplanes of L, so only that one has the smallest codim.
     """
+    from .msbuild import _dt_labels
+
     a = m.arrangement
     flats = a.full_lattice()
     masks = a.lattice_masks()
     seen = set()
-    for fam, rk, need in _pnk_masks(m, a.rank()):
+    for fam in enumerate_pnk(m.n, m.k, a.rank()):
+        need = a.label_mask(l for T in fam.members for l in _dt_labels(m, T))
         i = next(i for i, x in enumerate(masks) if x & need == need)
-        if flats[i].codim != rk or i in seen:
+        if flats[i].codim != pnk_rank(fam) or i in seen:
             return False, fam
         seen.add(i)
     if len(seen) != len(flats):
