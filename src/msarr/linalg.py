@@ -1,9 +1,10 @@
 """Exact linear algebra over an ordered field.
 
 Determinant and rank use fraction-free (Bareiss-style) elimination; reduced
-row echelon form gives kernels and the bases of flats' normal spaces, and
-reduction modulo an echelon basis gives span tests.  Everything operates on
-lists/tuples of exact scalars (see fields).
+row echelon form gives kernels, the bases of flats' normal spaces and the
+solutions of square systems, and reduction modulo an echelon basis gives
+span tests.  Everything operates on lists/tuples of exact scalars (see
+fields).
 
 The private integral helpers serve the intersection lattice: a vector over
 Q becomes a primitive integer vector, a vector over Q(sqrt5) a pair of
@@ -27,6 +28,7 @@ __all__ = [
     "rank",
     "kernel_basis",
     "rref",
+    "solve",
     "in_span",
     "reduce_against",
 ]
@@ -159,6 +161,16 @@ def rref(m):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in a[:r]), tuple(pivots)
+
+
+def solve(m, b):
+    """The unique x with m x = b for a square m, or None when m is singular."""
+    a = _as_rows(m)
+    n = len(a)
+    rows, pivots = rref([row + [as_scalar(v)] for row, v in zip(a, b)])
+    if pivots != tuple(range(n)):
+        return None
+    return [row[n] for row in rows]
 
 
 def reduce_against(vec, basis_rows, pivots):

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .arrangement import SignVector
+from .arrangement import SignVector, _eval
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, sign
-from .feasibility import strict_feasibility
-from .linalg import Mat, det, in_span, kernel_basis, rank, rref
+from .linalg import Mat, det, in_span, kernel_basis, rank, rref, solve
 from .msbuild import (
     GenericArrangement,
     MSArrangement,
@@ -34,7 +33,7 @@ from .msbuild import (
     ms_label,
 )
 from .pnk import SetFamily
-from .sigma import in_sigma_p
+from .sigma import _frozen_signs, in_sigma_p
 
 __all__ = [
     "WitnessSpec",
@@ -306,6 +305,44 @@ def perturb_to_very_generic(
     )
 
 
+def _vertex_points(a, split, x0):
+    """(v_j, sigma_j) per split label j: x0 projected onto the meet of the
+    other split hyperplanes, and the sign of a_j . v_j.
+
+    v_j = x0 - sum_{i != j} c_i a_i with (A A^T) c = A x0 over the other
+    normals A, so a_i . v_j = 0 exactly for i != j.  None when a Gram
+    matrix is singular or some a_j . v_j is 0.
+    """
+    normals = [a.normal(l) for l in split]
+    out = []
+    for j, aj in enumerate(normals):
+        rest = normals[:j] + normals[j + 1:]
+        gram = [[_eval(u, v) for v in rest] for u in rest]
+        c = solve(gram, [_eval(u, x0) for u in rest])
+        if c is None:
+            return None
+        v = [x - sum(ci * u[t] for ci, u in zip(c, rest)) for t, x in enumerate(x0)]
+        sj = sign(_eval(aj, v))
+        if sj == 0:
+            return None
+        out.append((v, sj))
+    return out
+
+
+def _pattern_point(verts, tau):
+    """sum_j w_j v_j, w_j = 1 where tau_j = sigma_j, else -1/r.
+
+    Since a_j . x = w_j (a_j . v_j), x has sign tau on the split labels.
+    Unless tau = -sigma the weights sum to at least 1/r, so x lies near a
+    positive multiple of x0.
+    """
+    point = [Q(0)] * len(verts[0][0])
+    for (v, sg), t in zip(verts, tau):
+        w = Q(1) if sg == t else Q(-1, len(verts))
+        point = [x + w * y for x, y in zip(point, v)]
+    return point
+
+
 def jump_after_perturbation(
     m: MSArrangement, w: WitnessSpec, seed: int = 0, tries: int = 40
 ):
@@ -315,9 +352,14 @@ def jump_after_perturbation(
     chambers include a simple one; near X the signs of all other
     hyperplanes are frozen.  An exact point x0 on the old X fixes those
     signs, and among the 2^r wall patterns exactly one full sign vector is
-    infeasible when the simple chamber exists: that vector is the flipped
-    chamber, and it lies one level down in the filtration.  Returns
-    (sign vector, failing flat, certificate).
+    no chamber when the simple chamber exists: that vector is the flipped
+    chamber, and it lies one level down in the filtration.
+
+    A pattern is a chamber once the point from _pattern_point, built on the
+    vertex points of x0, realizes its whole sign vector by substitution.
+    Every other pattern is decided by in_sigma_p at level rank, the
+    chamber test, whose report on the one bad pattern carries the failing
+    flat and certificate.  Returns (sign vector, failing flat, certificate).
     """
     a = m.arrangement
     p = a.rank() - 1
@@ -330,36 +372,29 @@ def jump_after_perturbation(
     rng = random.Random(seed)
 
     for _ in range(tries):
-        x0 = [Q(0)] * a.dim
-        for v in x_basis:
-            c = Q(rng.randint(-9, 9))
-            for i in range(a.dim):
-                x0[i] = x0[i] + c * v[i]
-        vals = {l: sum(c * x for c, x in zip(a.normal(l), x0)) for l in others}
-        if any(v == 0 for v in vals.values()):
+        drawn = _frozen_signs(a, x_basis, others, rng)
+        if drawn is None:
             continue
-        delta = {l: sign(v) for l, v in vals.items()}
+        x0, delta = drawn
+        verts = _vertex_points(a, split_order, x0)
         bad = []
         for tau in product((1, -1), repeat=len(split_order)):
             assign = dict(delta)
             assign.update(zip(split_order, tau))
+            if verts is not None:
+                x = _pattern_point(verts, tau)
+                if all(sign(_eval(a.normal(l), x)) == s for l, s in assign.items()):
+                    continue
             eps = SignVector(a.labels, tuple(assign[l] for l in a.labels))
-            rows = [
-                [assign[l] * c for c in a.normal(l)] for l in a.labels
-            ]
-            if not strict_feasibility(rows).feasible:
-                bad.append(eps)
+            rep = in_sigma_p(a, eps, a.rank())
+            if not rep.member:
+                bad.append(rep)
             if len(bad) > 1:
                 break
-        if len(bad) != 1:
+        if len(bad) != 1 or not in_sigma_p(a, bad[0].sign_vector, p).member:
             continue
-        eps = bad[0]
-        if not in_sigma_p(a, eps, p).member:
-            continue
-        rep = in_sigma_p(a, eps, p + 1)
-        if rep.member:
-            raise VerificationError("infeasible sign vector reported consistent")
-        return eps, rep.failing_flat, rep.certificate
+        rep = bad[0]
+        return rep.sign_vector, rep.failing_flat, rep.certificate
     raise RetryExhausted(
         f"no simple-chamber jump found near the old flat after {tries} tries"
     )

@@ -20,13 +20,14 @@ from .arrangement import (
     Flat,
     GordanCertificate,
     SignVector,
+    _eval,
     chamber_sign_vectors,
     essentialize,
 )
-from .errors import GuardExceeded
+from .errors import GuardExceeded, VerificationError
 from .fields import Q, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, kernel_basis, rref
+from .linalg import Mat, kernel_basis, rref, solve
 
 __all__ = [
     "SigmaReport",
@@ -64,15 +65,27 @@ def _cache(a: CentralArrangement) -> dict:
     return c
 
 
+def _lift(dim, pivots, y):
+    """The point with coordinates y on the pivot columns and 0 elsewhere."""
+    point = [Q(0)] * dim
+    for c, v in zip(pivots, y):
+        point[c] = v
+    return tuple(point)
+
+
 def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     """(True, interior point) or (False, GordanCertificate) at the flat x.
 
-    The strict system is solved in the flat's normal-space coordinates:
-    each localized row lies in the span of the echelon basis of X^perp, so
-    its pivot-column entries are its coordinates there, and a point in the
-    reduced system lifts by scattering onto the pivot columns.  Results are
-    cached on the arrangement, one entry per flat and local sign pattern
-    met, so at most sum over flats of 2^|closed set|.
+    The system is solved in the flat's normal-space coordinates: each
+    localized row lies in the span of the echelon basis of X^perp, so its
+    pivot-column entries are its coordinates there, and a point in the
+    reduced system lifts by scattering onto the pivot columns.  When the
+    closed set numbers codim its normals are independent, hold no circuit
+    and realize every local sign pattern: the square system N y = eps is
+    solved directly and its lifted point checked by substitution.  Any
+    other flat solves a strict LP.  Results are cached on the arrangement,
+    one entry per flat and local sign pattern met, so at most sum over
+    flats of 2^|closed set|.
     """
     labels = sorted(x.closed_set)
     if not labels:
@@ -83,24 +96,27 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     if key in cache:
         return cache[key]
     piv = x.pivots
-    reduced = [
-        [s * a.normal(l)[c] for c in piv] for l, s in zip(labels, signs)
-    ]
-    res = strict_feasibility(reduced)
-    if res.feasible:
-        point = [Q(0)] * a.dim
-        for c, v in zip(piv, res.point):
-            point[c] = v
-        out = (True, tuple(point))
+    if len(labels) == x.codim:
+        square = [[a.normal(l)[c] for c in piv] for l in labels]
+        point = _lift(a.dim, piv, solve(square, signs))
+        if any(sign(_eval(a.normal(l), point)) != s for l, s in zip(labels, signs)):
+            raise VerificationError(f"solved point misses eps at {labels}")
+        out = (True, point)
     else:
-        support = []
-        coeffs = []
-        for l, lam in zip(labels, res.certificate):
-            if lam > 0:
-                support.append(l)
-                coeffs.append(lam)
-        cert = GordanCertificate(tuple(support), tuple(coeffs))
-        out = (False, cert)
+        reduced = [
+            [s * a.normal(l)[c] for c in piv] for l, s in zip(labels, signs)
+        ]
+        res = strict_feasibility(reduced)
+        if res.feasible:
+            out = (True, _lift(a.dim, piv, res.point))
+        else:
+            support = []
+            coeffs = []
+            for l, lam in zip(labels, res.certificate):
+                if lam > 0:
+                    support.append(l)
+                    coeffs.append(lam)
+            out = (False, GordanCertificate(tuple(support), tuple(coeffs)))
     cache[key] = out
     return out
 
@@ -231,6 +247,23 @@ EXHAUSTIVE_GUARD = 16
 JUMP_POINT_TRIES = 20
 
 
+def _frozen_signs(a: CentralArrangement, basis, others, rng: random.Random):
+    """(point, signs of others there) at a random integer point of span(basis).
+
+    Each basis vector takes a coefficient in [-9, 9], drawn from rng in
+    basis order.  None when some label of others vanishes at the point.
+    """
+    point = [Q(0)] * a.dim
+    for v in basis:
+        c = Q(rng.randint(-9, 9))
+        for i in range(a.dim):
+            point[i] = point[i] + c * v[i]
+    signs = {l: sign(_eval(a.normal(l), point)) for l in others}
+    if 0 in signs.values():
+        return None
+    return point, signs
+
+
 def _jump_candidates_at(a: CentralArrangement, x: Flat):
     """Candidate jump witnesses built from one over-populated flat.
 
@@ -253,15 +286,10 @@ def _jump_candidates_at(a: CentralArrangement, x: Flat):
     rng = random.Random(7)
     seen = set()
     for _ in range(JUMP_POINT_TRIES if others else 1):
-        point = [Q(0)] * a.dim
-        for v in basis:
-            c = Q(rng.randint(-9, 9))
-            for i in range(a.dim):
-                point[i] = point[i] + c * v[i]
-        vals = {l: sum(c * t for c, t in zip(a.normal(l), point)) for l in others}
-        if any(v == 0 for v in vals.values()):
+        drawn = _frozen_signs(a, basis, others, rng)
+        if drawn is None:
             continue
-        frozen = {l: sign(v) for l, v in vals.items()}
+        frozen = drawn[1]
         for flip in flips:
             assign = dict(frozen)
             assign.update(flip)

@@ -4,15 +4,17 @@ Everything here is deliberately brute force and shares as little code as
 possible with the library paths it checks.
 """
 
+import random
 from itertools import combinations, permutations, product
 
-from msarr.arrangement import Flat
+from msarr.arrangement import Flat, SignVector
+from msarr.errors import RetryExhausted
 from msarr.feasibility import _phase1, strict_feasibility
-from msarr.fields import Q, as_scalar
-from msarr.linalg import Mat, det, in_span, rank, rref
+from msarr.fields import Q, as_scalar, sign
+from msarr.linalg import Mat, det, in_span, kernel_basis, rank, rref
 from msarr.msbuild import _dt_labels, alpha_I
 from msarr.pnk import SetFamily, enumerate_pnk, pnk_rank
-from msarr.sigma import walls
+from msarr.sigma import in_sigma_p, walls
 
 
 def brute_force_flats(arrangement):
@@ -119,9 +121,26 @@ def naive_sigma_member(arrangement, eps, p):
     return True
 
 
-def naive_sigma_set(arrangement, p):
-    from msarr.arrangement import SignVector
+def lattice_sigma_failing_flat(arrangement, eps, p):
+    """First codim-min(p, rank) flat, in lattice order, where eps fails.
 
+    Each flat's localized system is solved in full dimension by a strict
+    LP, with no coordinate reduction, no square solve and no caching.
+    None when eps is consistent at every such flat.
+    """
+    q = min(p, arrangement.rank())
+    for f in arrangement.full_lattice():
+        if f.codim != q:
+            continue
+        rows = [
+            [eps.sign_of(l) * c for c in arrangement.normal(l)] for l in sorted(f.closed_set)
+        ]
+        if not strict_feasibility(rows).feasible:
+            return f
+    return None
+
+
+def naive_sigma_set(arrangement, p):
     out = set()
     for signs in product((1, -1), repeat=len(arrangement.labels)):
         eps = SignVector(arrangement.labels, signs)
@@ -362,3 +381,51 @@ class SetMatroid:
         return all(
             self.closure(s) in coat for s in combinations(sorted(self.ground), r - 1)
         )
+
+
+def lp_jump_after_perturbation(m, w, seed=0, tries=40):
+    """The perturbation jump with one whole-arrangement strict LP per pattern.
+
+    For each exact point x0 of the old flat, every one of the 2^r wall
+    patterns with the frozen signs of x0 is tested for a chamber by a strict
+    LP on all hyperplanes; exactly one infeasible pattern that lies in
+    Sigma_p is the jump, certified by in_sigma_p at p + 1.
+    """
+    a = m.arrangement
+    p = a.rank() - 1
+    split = set(w.family_labels())
+    others = [l for l in a.labels if l not in split]
+    split_order = [l for l in a.labels if l in split]
+    old_rows = [list(alpha_I(w.witness_base, sorted(T))) for T in w.family.members]
+    x_basis = kernel_basis(Mat(old_rows))
+    rng = random.Random(seed)
+    for _ in range(tries):
+        x0 = [Q(0)] * a.dim
+        for v in x_basis:
+            c = Q(rng.randint(-9, 9))
+            for i in range(a.dim):
+                x0[i] = x0[i] + c * v[i]
+        vals = {l: sum(c * x for c, x in zip(a.normal(l), x0)) for l in others}
+        if any(v == 0 for v in vals.values()):
+            continue
+        delta = {l: sign(v) for l, v in vals.items()}
+        bad = []
+        for tau in product((1, -1), repeat=len(split_order)):
+            assign = dict(delta)
+            assign.update(zip(split_order, tau))
+            eps = SignVector(a.labels, tuple(assign[l] for l in a.labels))
+            rows = [[assign[l] * c for c in a.normal(l)] for l in a.labels]
+            if not strict_feasibility(rows).feasible:
+                bad.append(eps)
+            if len(bad) > 1:
+                break
+        if len(bad) != 1:
+            continue
+        eps = bad[0]
+        if not in_sigma_p(a, eps, p).member:
+            continue
+        rep = in_sigma_p(a, eps, p + 1)
+        if rep.member:
+            raise AssertionError("infeasible sign vector reported consistent")
+        return eps, rep.failing_flat, rep.certificate
+    raise RetryExhausted(f"no simple-chamber jump found near the old flat after {tries} tries")

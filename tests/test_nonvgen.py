@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import oracles
+from msarr import arrangement, feasibility, nonvgen, sigma
 from msarr.fields import Q
 from msarr.linalg import Mat, rank
 from msarr.nonvgen import _rank3_equation, _rank_r_equation
@@ -30,11 +32,6 @@ FALK_FAMILY = SetFamily(6, 3, [{1, 2, 4, 5}, {1, 3, 4, 6}, {2, 3, 5, 6}])
 @pytest.fixture(scope="module")
 def w63():
     return witness_rank3(6, 3, seed=0)
-
-
-@pytest.fixture(scope="module")
-def w62():
-    return witness_rank_r(6, 2, seed=0)
 
 
 # -- coincidence families -----------------------------------------------------
@@ -196,3 +193,63 @@ def test_jump_after_perturbation(w62):
     assert not rep.member
     assert cert.verify(a, eps)
     assert flat.codim == p + 1
+
+
+JUMP_CASES = [(witness_rank_r, 6, 2, s) for s in range(4)] + [
+    (witness_rank3, 6, 3, 0),
+    (witness_rank3, 7, 4, 0),
+]
+
+
+def jump_pair(make, n, k, s):
+    """(new, oracle) jump triples, each on a cold consistency cache."""
+    w = make(n, k, seed=s)
+    m, _ = perturb_to_very_generic(w, seed=s)
+    new = jump_after_perturbation(m, w, seed=s)
+    m.arrangement._consistency_cache = {}
+    return new, oracles.lp_jump_after_perturbation(m, w, seed=s)
+
+
+@pytest.mark.parametrize("make,n,k,s", JUMP_CASES)
+def test_jump_matches_lp_oracle(make, n, k, s):
+    new, old = jump_pair(make, n, k, s)
+    assert new == old
+
+
+def count_strict_lps(monkeypatch):
+    """Row counts of every strict LP solved through a library binding."""
+    rows = []
+
+    def counted(real):
+        def strict_feasibility(r):
+            rows.append(len(r))
+            return real(r)
+
+        return strict_feasibility
+
+    for mod in (arrangement, nonvgen, sigma):
+        if hasattr(mod, "strict_feasibility"):
+            monkeypatch.setattr(mod, "strict_feasibility", counted(mod.strict_feasibility))
+    return rows
+
+
+def test_jump_without_vertex_points_matches_lp_oracle(monkeypatch):
+    # every pattern then goes to the chamber LP of in_sigma_p at level rank
+    calls = []
+    monkeypatch.setattr(nonvgen, "_vertex_points", lambda *args: calls.append(args))
+    rows = count_strict_lps(monkeypatch)
+    new, old = jump_pair(witness_rank3, 6, 3, 0)
+    assert calls
+    assert new == old
+    assert rows.count(15) > 2
+
+
+def test_jump_solves_one_whole_arrangement_lp(ms62_perturbed, w62, monkeypatch):
+    a = ms62_perturbed.arrangement
+    monkeypatch.setattr(a, "_consistency_cache", {}, raising=False)
+    rows = count_strict_lps(monkeypatch)
+    solved = feasibility.lp_count()
+    jump_after_perturbation(ms62_perturbed, w62, seed=0)
+    assert rows.count(a.n_hyperplanes) == 1
+    assert feasibility.lp_count() - solved <= 67
+    assert not hasattr(nonvgen, "strict_feasibility")

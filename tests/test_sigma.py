@@ -1,12 +1,14 @@
 """Consistency filtration, jumps, simple chambers and product structure."""
 
+import random
+
 import pytest
 
 import oracles
 from conftest import boolean
 from msarr import feasibility
 from msarr.errors import GuardExceeded
-from msarr.fields import Q
+from msarr.fields import Q, sign
 from msarr.sigma import _simple_chambers
 from msarr import (
     CentralArrangement,
@@ -21,6 +23,7 @@ from msarr import (
     in_sigma_p,
     is_simple_chamber,
     localization,
+    moment_curve_base,
     named_base,
     sigma_product_check,
     sigma_set,
@@ -146,6 +149,80 @@ def test_members_restrict_to_localization_members(ms52):
         loc = localization(a, x)
         sub = SignVector(loc.labels, tuple(eps.sign_of(l) for l in loc.labels))
         assert in_sigma_p(loc, sub, 2).member
+
+
+# -- flats with independent normals ------------------------------------------------
+
+
+def independent_case(name, w62):
+    """A fresh arrangement (cold caches): Q, non-very-generic, Q(sqrt5)."""
+    if name == "moment52":
+        return build_ms(moment_curve_base([0, 1, 2, 3, 4])).arrangement
+    if name == "w62":
+        return build_ms(w62.witness_base).arrangement
+    return build_ms(named_base(name)).arrangement
+
+
+def probe_sign_vectors(a, rng, count=4):
+    """Chamber sign vectors of random integer points, one or two of their
+    signs flipped, and uniform sign vectors."""
+    out = []
+    while len(out) < count:
+        x = [rng.randint(-30, 30) for _ in range(a.dim)]
+        signs = tuple(sign(sum(c * v for c, v in zip(a.normal(l), x))) for l in a.labels)
+        if 0 in signs:
+            continue
+        eps = SignVector(a.labels, signs)
+        out += [eps, eps.flip(rng.sample(a.labels, rng.choice((1, 2))))]
+    out += [SignVector(a.labels, tuple(rng.choice((1, -1)) for _ in a.labels)) for _ in range(count)]
+    return out
+
+
+CASES = ("moment52", "falk", "w62", "h3")
+
+
+def realizes(a, eps, labels, point):
+    return all(
+        sign(sum(c * v for c, v in zip(a.normal(l), point))) == eps.sign_of(l) for l in labels
+    )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_independent_flats_are_solved_without_lp(name, w62):
+    a = independent_case(name, w62)
+    flats = [f for f in a.full_lattice() if f.closed_set and len(f.closed_set) == f.codim]
+    assert flats
+    for eps in probe_sign_vectors(a, random.Random(11)):
+        for f in flats:
+            solved = feasibility.lp_count()
+            ok, point = consistent_at(a, eps, f)
+            assert feasibility.lp_count() == solved
+            assert ok and realizes(a, eps, f.closed_set, point)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_membership_matches_lattice_order_oracle(name, w62):
+    """Verdict, failing flat and certificate at every level 2..rank against
+    full-dimension LPs on each flat, and every witness point by substitution."""
+    a = independent_case(name, w62)
+    for eps in probe_sign_vectors(a, random.Random(12)):
+        for p in range(2, a.rank() + 1):
+            rep = in_sigma_p(a, eps, p, audit=True)
+            assert rep.failing_flat == oracles.lattice_sigma_failing_flat(a, eps, p)
+            if rep.member:
+                for f, point in rep.witness_points.items():
+                    assert realizes(a, eps, f.closed_set, point)
+            else:
+                assert rep.certificate.verify(a, eps)
+                assert set(rep.certificate.support) <= rep.failing_flat.closed_set
+
+
+def test_membership_matches_naive_oracle_on_moment52():
+    # the brute-force flat scan is 2^n rank tests, so only B(5,2) fits here
+    a = independent_case("moment52", None)
+    for eps in probe_sign_vectors(a, random.Random(13), count=2):
+        for p in range(2, a.rank() + 1):
+            assert in_sigma_p(a, eps, p).member == oracles.naive_sigma_member(a, eps, p)
 
 
 # -- walls, simple chambers, epsilon^C ------------------------------------------
