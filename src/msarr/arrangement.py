@@ -9,23 +9,25 @@ an independent oracle, and minimal circuits with their dependency
 coefficients.  Beside the lattice each arrangement keeps every closed set
 as an integer label mask, for subset tests by bit operations.
 
-Every lattice decision runs on integers: at construction each normal gets
-one canonical integral form (a primitive integer vector over Q, an integer
-pair (A, B) for A + B*sqrt5 over Q(sqrt5)), which also rejects parallel
-hyperplanes, and a hyperplane contains a flat iff its integral normal has
-zero dot product with every vector of an integer basis of the flat.
+Every lattice decision runs on integers: each normal gets one canonical
+integral form at construction (a primitive integer vector over Q, a pair
+(A, B) for A + B*sqrt5 over Q(sqrt5)), which also rejects parallel
+hyperplanes; a hyperplane contains a flat iff its integral normal is
+orthogonal to an integer basis of the flat, and a cover's basis and pivots
+come from its parent's by one fraction-free step, with no echelon form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import GuardExceeded
 from .fields import Q, Qrt5, as_scalar, format_scalar, parse_scalar, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, _integral, _integral_kernel, _integral_ops, kernel_basis, rank, rref
+from .linalg import Mat, _cut, _integral, _integral_ops, kernel_basis, rank, rref
 
 __all__ = [
     "CentralArrangement",
@@ -51,15 +53,20 @@ class Flat:
     """A lattice element: all hyperplanes containing it, plus its X^perp.
 
     The closed label set determines the flat within its arrangement, so
-    flats hash and compare by (closed_set, codim).  normal_space is the
-    reduced echelon basis of X^perp with its pivot columns, the
-    coordinates the flat is computed in.
+    flats hash and compare by (closed_set, codim).  pivots are the pivot
+    columns of the echelon basis of X^perp, the coordinates the flat is
+    computed in; rows, the normals of the closed set, span X^perp.
     """
 
     closed_set: frozenset
     codim: int
-    normal_space: tuple = field(compare=False)
     pivots: tuple = field(compare=False)
+    rows: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def normal_space(self) -> tuple:
+        """The reduced echelon basis of X^perp, computed on first read."""
+        return rref(self.rows)[0]
 
     def sorted_labels(self):
         return sorted(self.closed_set)
@@ -166,6 +173,8 @@ class CentralArrangement:
             isinstance(v, Qrt5) and v.b != 0 for nv in normals.values() for v in nv
         )
         self._integral = {l: _integral(nv, self._rt5) for l, nv in normals.items()}
+        units = [[Q(int(i == j)) for i in range(dim)] for j in range(dim)]
+        self._units = [_integral(u, self._rt5) for u in units]  # the top flat's kernel
         self._bits = {l: 1 << i for i, l in enumerate(labels)}
         self._reject_parallel()
         # filled lazily, write-once
@@ -256,39 +265,41 @@ class CentralArrangement:
         self.full_lattice()
         return self._masks
 
+    def _flat(self, closed, free):
+        pivots = tuple(c for c in range(self.dim) if c not in free)
+        rows = tuple(self._normals[l] for l in self.labels if l in closed)
+        return Flat(closed, len(pivots), pivots, rows)
+
     def _build_lattice(self):
         """BFS on codim: the covers of F are the classes of labels off F
         whose images under n -> (n . k for k in K) are proportional.
 
-        K is an integer basis of the flat F (unit vectors at the top, else
-        the free-column kernel vectors of F's echelon basis), so the map is
-        linear with kernel X^perp and two labels cut the same cover iff
-        their images span one line.  Kernels are kept for one level only;
-        only a cover not met before needs an rref, for its basis.
+        K is an integer basis of the flat F, so the map is linear with
+        kernel X^perp and two labels cut the same cover iff their images
+        span one line.  A new cover's basis is a _cut of K by its class's
+        image; bases are kept for one level only.
         """
-        dot, key, _ = _integral_ops(self._rt5)
+        dot, key, zero, comb = _integral_ops(self._rt5)
         ints = self._integral
-        top = Flat(frozenset(), 0, (), ())
+        top = self._flat(frozenset(), range(self.dim))
         by_labels = {top.closed_set: top}
-        frontier = [top]
+        frontier = [(top, self._units, tuple(range(self.dim)))]
         while frontier:
             newly = []
-            for fl in frontier:
-                ker = _integral_kernel(fl.normal_space, fl.pivots, self.dim, self._rt5)
+            for fl, ker, free in frontier:
                 classes = {}
                 for lab in self.labels:
                     if lab in fl.closed_set:
                         continue
-                    n = ints[lab]
-                    classes.setdefault(key([dot(n, k) for k in ker]), []).append(lab)
-                for cls in classes.values():
+                    images = [dot(ints[lab], k) for k in ker]
+                    classes.setdefault(key(images), (images, []))[1].append(lab)
+                for images, cls in classes.values():
                     closed = fl.closed_set.union(cls)
                     if closed in by_labels:
                         continue
-                    ns, piv = rref([*fl.normal_space, self._normals[cls[0]]])
-                    child = Flat(closed, fl.codim + 1, ns, piv)
-                    by_labels[closed] = child
-                    newly.append(child)
+                    cker, cfree = _cut(ker, free, images, zero, comb)
+                    by_labels[closed] = self._flat(closed, cfree)
+                    newly.append((by_labels[closed], cker, cfree))
             frontier = newly
         return sorted(by_labels.values(), key=lambda f: (f.codim, f.sorted_labels()))
 
@@ -299,18 +310,17 @@ class CentralArrangement:
 
     def flat_of(self, labels) -> Flat:
         """The flat determined by a set of hyperplane labels."""
-        labels = list(labels)
+        dot, _, zero, comb = _integral_ops(self._rt5)
+        ker, free = self._units, tuple(range(self.dim))
         for l in labels:
-            self.normal(l)
-        if not labels:
-            return Flat(frozenset(), 0, (), ())
-        ns, piv = rref(Mat([list(self._normals[l]) for l in labels]))
-        dot, _, zero = _integral_ops(self._rt5)
-        ker = _integral_kernel(ns, piv, self.dim, self._rt5)
+            self.normal(l)  # rejects an unknown label
+            images = [dot(self._integral[l], k) for k in ker]
+            if any(v != zero for v in images):
+                ker, free = _cut(ker, free, images, zero, comb)
         closed = frozenset(
             l for l in self.labels if all(dot(self._integral[l], k) == zero for k in ker)
         )
-        return Flat(closed, len(ns), ns, piv)
+        return self._flat(closed, free)
 
     def has_flat(self, x: Flat) -> bool:
         """x has this arrangement's labels and normals: its closed set and X^perp."""

@@ -17,7 +17,6 @@ __all__ = [
     "FeasibilityOutcome",
     "strict_feasibility",
     "lp_count",
-    "reset_lp_count",
 ]
 
 _lp_count = 0
@@ -25,11 +24,6 @@ _lp_count = 0
 
 def lp_count() -> int:
     return _lp_count
-
-
-def reset_lp_count() -> None:
-    global _lp_count
-    _lp_count = 0
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
 """Exact linear algebra over an ordered field.
 
 Determinant and rank use fraction-free (Bareiss-style) elimination; reduced
-row echelon form gives kernels, the bases of flats' normal spaces and the
-solutions of square systems, and reduction modulo an echelon basis gives
-span tests.  Everything operates on lists/tuples of exact scalars (see
-fields).
+row echelon form gives kernels, the normal spaces of flats and the
+solutions of square systems.  Everything operates on lists/tuples of exact
+scalars (see fields).
 
 The private integral helpers serve the intersection lattice: a vector over
 Q becomes a primitive integer vector, a vector over Q(sqrt5) a pair of
-integer vectors (A, B) with the vector proportional to A + B*sqrt5, so
-closure tests are integer dot products against an integer kernel basis.
+integer vectors (A, B) with the vector proportional to A + B*sqrt5, and
+a flat's integer kernel basis becomes a cover's by one fraction-free step.
 They read the ``numerator``/``denominator`` fields of the rationals
 directly, so gmpy2's mpq should work as well as Fraction, but that backend
 has not been tested with them.
@@ -29,8 +28,6 @@ __all__ = [
     "kernel_basis",
     "rref",
     "solve",
-    "in_span",
-    "reduce_against",
 ]
 
 
@@ -173,35 +170,15 @@ def solve(m, b):
     return [row[n] for row in rows]
 
 
-def reduce_against(vec, basis_rows, pivots):
-    """Reduce vec modulo an rref basis; returns the residual vector."""
-    v = list(vec)
-    for row, p in zip(basis_rows, pivots):
-        t = v[p]
-        if t != 0:
-            v = [vi - t * vr for vi, vr in zip(v, row)]
-    return v
-
-
-def in_span(vec, basis_rows, pivots) -> bool:
-    return all(x == 0 for x in reduce_against(vec, basis_rows, pivots))
-
-
 def kernel_basis(m):
     """Exact basis of the right kernel; empty list iff rank == cols."""
     a = _as_rows(m)
     if not a:
         return []
-    return _free_kernel(*rref(a), len(a[0]))
-
-
-def _free_kernel(rows, pivots, n):
-    """One kernel vector per free column of an rref basis of width n."""
-    pivset = set(pivots)
+    rows, pivots = rref(a)
+    n = len(a[0])
     basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
+    for free in (c for c in range(n) if c not in pivots):
         v = [Q(0)] * n
         v[free] = Q(1)
         for row, p in zip(rows, pivots):
@@ -257,11 +234,6 @@ def _integral(vec, rt5):
     return _primitive(_cleared([x.a if isinstance(x, Qrt5) else x for x in vec]))
 
 
-def _integral_kernel(rows, pivots, dim, rt5):
-    """Integral forms of the free-column kernel vectors of an rref basis."""
-    return [_integral(v, rt5) for v in _free_kernel(rows, pivots, dim)]
-
-
 def _dot(u, v):
     return sum(map(mul, u, v))
 
@@ -278,13 +250,38 @@ def _image_key_rt5(images):
     return _primitive_rt5(*zip(*images))
 
 
+def _comb(s, x, t, y):
+    return _primitive([s * u - t * v for u, v in zip(x, y)])
+
+
+def _comb_rt5(s, x, t, y):
+    (s1, s2), (x1, x2), (t1, t2), (y1, y2) = s, x, t, y
+    return _primitive_rt5(
+        [s1 * a + 5 * s2 * b - t1 * c - 5 * t2 * d for a, b, c, d in zip(x1, x2, y1, y2)],
+        [s1 * b + s2 * a - t1 * d - t2 * c for a, b, c, d in zip(x1, x2, y1, y2)],
+    )
+
+
 def _integral_ops(rt5):
-    """(dot, key, zero) on integral forms over Q or Q(sqrt5).
+    """(dot, key, zero, comb) on integral forms over Q or Q(sqrt5).
 
     dot(n, k) is the exact product of the vectors n and k stand for, up to
     their integral scaling; key maps a nonzero list of such products to the
-    canonical form of its line; zero is the product of orthogonal vectors.
+    canonical form of its line; zero is the product of orthogonal vectors;
+    comb(s, x, t, y) is the canonical form of s*x - t*y.
     """
     if rt5:
-        return _dot_rt5, _image_key_rt5, (0, 0)
-    return _dot, _primitive, 0
+        return _dot_rt5, _image_key_rt5, (0, 0), _comb_rt5
+    return _dot, _primitive, 0, _comb
+
+
+def _cut(ker, free, images, zero, comb):
+    """One fraction-free step (Bareiss 1968) from an integral kernel basis
+    of a flat to a cover's, given images[j] = n . ker[j] for a normal n off
+    the flat.  ker[j]'s last nonzero entry is in column free[j], free
+    increasing, so free is the complement of the rref pivots.  With p the
+    first j with images[j] != 0, images[p] ker[j] - images[j] ker[p] (j != p)
+    keep that, and the cover's free columns drop free[p]."""
+    p = next(j for j, v in enumerate(images) if v != zero)
+    out = [comb(images[p], k, v, ker[p]) for j, (k, v) in enumerate(zip(ker, images)) if j != p]
+    return out, free[:p] + free[p + 1 :]

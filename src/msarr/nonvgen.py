@@ -22,7 +22,7 @@ from math import prod
 from .arrangement import SignVector, _eval
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, sign
-from .linalg import Mat, det, in_span, kernel_basis, rank, rref, solve
+from .linalg import Mat, det, kernel_basis, rank, solve
 from .msbuild import (
     GenericArrangement,
     MSArrangement,
@@ -215,12 +215,9 @@ def _audit_family(g: GenericArrangement, fam: SetFamily, target_codim: int):
     if full_rank != target_codim:
         return None
     audit.append((f"codim of full intersection = {target_codim}", full_rank))
-    ns, piv = rref(Mat(rows))
     member_set = {tuple(T) for T in members}
     for I in combinations(range(1, g.n + 1), g.k + 1):
-        if I in member_set:
-            continue
-        if in_span(alpha_I(g, I), ns, piv):
+        if I not in member_set and rank(Mat([*rows, list(alpha_I(g, I))])) == full_rank:
             return None
     audit.append(("localization contains no further hyperplane", True))
     return audit

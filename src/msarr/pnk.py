@@ -6,9 +6,10 @@ of two or more members.  For very generic bases the map sending a family
 to the intersection of its D_T flats is a rank-preserving bijection onto
 the intersection lattice.
 
-The isomorphism check enumerates P(n, k) on each call and reads each
-family's flat off the built lattice by label masks, with no echelon form.
-Enumeration stops at n <= 8.
+Enumeration stops at n <= 8 and tests each new member of a family only
+against the sub-collections already chosen.  The isomorphism check
+enumerates P(n, k) on each call and reads each family's flat off the built
+lattice by label masks, with no echelon form.
 """
 
 from __future__ import annotations
@@ -96,34 +97,35 @@ def pnk_rank(f: SetFamily) -> int:
 
 
 def enumerate_pnk(n: int, k: int, max_rank: int):
-    """All elements of rank <= max_rank, graded, by antichain backtracking."""
+    """All elements of rank <= max_rank, graded, by antichain backtracking.
+
+    A family carries (union, sum of |U| - k) for each nonempty sub-collection,
+    and T keeps (iii) iff |union | T| - k > sum + |T| - k for each of them.
+    """
     if n > 8:
         raise GuardExceeded("enumeration is limited to n <= 8")
-    ground = list(range(1, n + 1))
-    candidates = []
-    for size in range(k + 1, n + 1):
-        for T in combinations(ground, size):
-            candidates.append(frozenset(T))
     # fixed candidate order so each family is generated exactly once
+    candidates = [
+        frozenset(T) for size in range(k + 1, n + 1) for T in combinations(range(1, n + 1), size)
+    ]
     results = [[] for _ in range(max_rank + 1)]
     results[0].append(SetFamily(n, k, []))
 
-    def extend(chosen, rk, start):
+    def extend(chosen, subs, rk, start):
         for i in range(start, len(candidates)):
             T = candidates[i]
-            new_rk = rk + len(T) - k
-            if new_rk > max_rank:
+            t = len(T) - k
+            if rk + t > max_rank:
                 continue
             if any(T <= U or U <= T for U in chosen):
                 continue
-            fam = chosen + [T]
-            ok, _ = is_pnk_element(SetFamily(n, k, fam))
-            if not ok:
+            if any(len(u | T) - k <= r + t for u, r in subs):
                 continue
-            results[new_rk].append(SetFamily(n, k, fam))
-            extend(fam, new_rk, i + 1)
+            fam = chosen + [T]
+            results[rk + t].append(SetFamily(n, k, fam))
+            extend(fam, subs + [(T, t)] + [(u | T, r + t) for u, r in subs], rk + t, i + 1)
 
-    extend([], 0, 0)
+    extend([], [], 0, 0)
     graded = []
     for r in range(0, max_rank + 1):
         graded.extend(sorted(results[r], key=lambda f: [sorted(m) for m in f.members]))

@@ -5,16 +5,35 @@ possible with the library paths it checks.
 """
 
 import random
+from collections import namedtuple
 from itertools import combinations, permutations, product
 
-from msarr.arrangement import Flat, SignVector
+from msarr.arrangement import SignVector
 from msarr.errors import RetryExhausted
 from msarr.feasibility import _phase1, strict_feasibility
 from msarr.fields import Q, as_scalar, sign
-from msarr.linalg import Mat, det, in_span, kernel_basis, rank, rref
+from msarr.linalg import Mat, det, kernel_basis, rank, rref
 from msarr.msbuild import _dt_labels, alpha_I
-from msarr.pnk import SetFamily, enumerate_pnk, pnk_rank
+from msarr.pnk import SetFamily, enumerate_pnk, is_pnk_element, pnk_rank
 from msarr.sigma import in_sigma_p, walls
+
+# A flat as the echelon oracles build it: its own rref of X^perp, not the
+# library Flat's lazy view of it.
+EchelonFlat = namedtuple("EchelonFlat", "closed_set codim normal_space pivots")
+
+
+def reduce_against(vec, basis_rows, pivots):
+    """Reduce vec modulo an rref basis; returns the residual vector."""
+    v = list(vec)
+    for row, p in zip(basis_rows, pivots):
+        t = v[p]
+        if t != 0:
+            v = [vi - t * vr for vi, vr in zip(v, row)]
+    return v
+
+
+def in_span(vec, basis_rows, pivots) -> bool:
+    return all(x == 0 for x in reduce_against(vec, basis_rows, pivots))
 
 
 def brute_force_flats(arrangement):
@@ -55,7 +74,7 @@ def echelon_lattice(arrangement):
     sorted labels).
     """
     a = arrangement
-    top = Flat(frozenset(), 0, (), ())
+    top = EchelonFlat(frozenset(), 0, (), ())
     by_key = {(): top}
     frontier = [top]
     while frontier:
@@ -68,10 +87,10 @@ def echelon_lattice(arrangement):
                 if ns in by_key or ns in newly:
                     continue
                 closed = frozenset(l for l in a.labels if in_span(a.normal(l), ns, piv))
-                newly[ns] = Flat(closed, fl.codim + 1, ns, piv)
+                newly[ns] = EchelonFlat(closed, fl.codim + 1, ns, piv)
         by_key.update(newly)
         frontier = list(newly.values())
-    return sorted(by_key.values(), key=lambda f: (f.codim, f.sorted_labels()))
+    return sorted(by_key.values(), key=lambda f: (f.codim, sorted(f.closed_set)))
 
 
 def span_closure_flat(arrangement, labels):
@@ -84,10 +103,10 @@ def span_closure_flat(arrangement, labels):
     a = arrangement
     labels = list(labels)
     if not labels:
-        return Flat(frozenset(), 0, (), ())
+        return EchelonFlat(frozenset(), 0, (), ())
     ns, piv = rref(Mat([list(a.normal(l)) for l in labels]))
     closed = frozenset(l for l in a.labels if in_span(a.normal(l), ns, piv))
-    return Flat(closed, len(ns), ns, piv)
+    return EchelonFlat(closed, len(ns), ns, piv)
 
 
 def braid3_chamber_strings(order):
@@ -288,6 +307,35 @@ def flat_of_isomorphic_to_pnk(m):
     if len(seen) != len(a.full_lattice()):
         return False, None
     return True, None
+
+
+def enumerate_pnk_by_check(n, k, max_rank):
+    """P(n, k) up to max_rank by antichain backtracking, each extended
+    family checked whole by is_pnk_element; graded like enumerate_pnk."""
+    candidates = [
+        frozenset(T) for size in range(k + 1, n + 1) for T in combinations(range(1, n + 1), size)
+    ]
+    results = [[] for _ in range(max_rank + 1)]
+    results[0].append(SetFamily(n, k, []))
+
+    def extend(chosen, rk, start):
+        for i in range(start, len(candidates)):
+            T = candidates[i]
+            new_rk = rk + len(T) - k
+            if new_rk > max_rank:
+                continue
+            if any(T <= U or U <= T for U in chosen):
+                continue
+            fam = chosen + [T]
+            if not is_pnk_element(SetFamily(n, k, fam))[0]:
+                continue
+            results[new_rk].append(SetFamily(n, k, fam))
+            extend(fam, new_rk, i + 1)
+
+    extend([], 0, 0)
+    return [
+        f for level in results for f in sorted(level, key=lambda f: [sorted(m) for m in f.members])
+    ]
 
 
 def set_zaslavsky_chambers(a):

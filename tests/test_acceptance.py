@@ -10,9 +10,10 @@ from itertools import combinations
 import pytest
 
 from conftest import boolean
+from oracles import in_span
 from msarr.errors import GuardExceeded
 from msarr.fields import Q
-from msarr.linalg import Mat, rank, rref, in_span
+from msarr.linalg import Mat, rank, rref
 from msarr.feasibility import strict_feasibility
 from msarr import (
     SetFamily,

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import msarr.arrangement
+import msarr.linalg
 import oracles
 from msarr.errors import GuardExceeded
 from msarr.fields import PHI, Q, Qrt5
-from msarr.linalg import Mat, rank
+from msarr.linalg import Mat, _cut, _integral_ops, _primitive, _primitive_rt5, rank, rref
 from msarr import (
     CentralArrangement,
     SignVector,
@@ -242,6 +244,61 @@ def test_flat_of_matches_span_closure_oracle(name, ms63_very_generic):
             want.normal_space,
             want.pivots,
         )
+
+
+def _fresh(a):
+    return CentralArrangement(a.dim, [(l, a.normal(l)) for l in a.labels])
+
+
+@pytest.mark.parametrize("name", ["falk", "h3", "perturbed-62"])
+def test_lattice_and_flat_of_form_no_echelon(name, ms63_very_generic, monkeypatch):
+    a = _fresh(lattice_case(name, ms63_very_generic)[0])
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return rref(m)
+
+    monkeypatch.setattr(msarr.arrangement, "rref", counted)
+    monkeypatch.setattr(msarr.linalg, "rref", counted)
+    flats = a.full_lattice()
+    rng = random.Random(name)
+    for _ in range(20):
+        a.flat_of(rng.sample(a.labels, rng.randint(1, 5)))
+    assert calls == []
+    # the echelon basis is computed once, on first read
+    assert flats[-1].normal_space == flats[-1].normal_space
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["falk", "h3", "perturbed-62"])
+def test_cut_keeps_primitive_kernels_with_free_columns(name, ms63_very_generic):
+    """Cutting the unit kernel by labels in turn keeps every vector in
+    canonical integral form, orthogonal to the labels cut, with its last
+    nonzero entry in its increasing free column; the free columns are the
+    complement of the rref pivots of the labels' normals."""
+    a = lattice_case(name, ms63_very_generic)[0]
+    dot, _, zero, comb = _integral_ops(a._rt5)
+    canonical = (lambda k: _primitive_rt5(*k)) if a._rt5 else _primitive
+    rng = random.Random(name)
+    for _ in range(10):
+        ker, free = a._units, tuple(range(a.dim))
+        cut = []
+        for lab in rng.sample(a.labels, min(6, len(a.labels))):
+            images = [dot(a._integral[lab], k) for k in ker]
+            if all(v == zero for v in images):
+                continue
+            ker, free = _cut(ker, free, images, zero, comb)
+            cut.append(lab)
+            for k, f in zip(ker, free):
+                assert canonical(k) == k
+                assert all(dot(a._integral[l], k) == zero for l in cut)
+                entries = list(zip(*k)) if a._rt5 else k
+                last = max(i for i, x in enumerate(entries) if x != zero)
+                assert last == f
+            assert list(free) == sorted(free)
+            _, pivots = rref([a.normal(l) for l in cut])
+            assert set(free) == set(range(a.dim)) - set(pivots)
 
 
 def test_flat_of_and_has_flat(br3):

@@ -85,6 +85,13 @@ def test_enumeration_guard():
         enumerate_pnk(9, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "n, k, max_rank", [(5, 2, 3), (6, 2, 4), (6, 3, 3), (7, 2, 5), (7, 3, 4), (8, 4, 4)]
+)
+def test_enumeration_matches_checked_backtracking(n, k, max_rank):
+    assert enumerate_pnk(n, k, max_rank) == oracles.enumerate_pnk_by_check(n, k, max_rank)
+
+
 def test_enumeration_has_no_duplicates():
     fams = enumerate_pnk(5, 2, 3)
     assert len(fams) == len(set(fams))
