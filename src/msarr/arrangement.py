@@ -7,7 +7,9 @@ the hyperplanes containing it), localizations, an essentialization with a
 point back-map, chamber sign vectors, the Zaslavsky chamber count used as
 an independent oracle, and minimal circuits with their dependency
 coefficients.  Beside the lattice each arrangement keeps every closed set
-as an integer label mask, for subset tests by bit operations.
+as an integer label mask, for subset tests by bit operations, and, from
+first use, the signed circuits spanning each over-populated flat as pairs
+of label masks, which the chamber DFS and sigma's consistency test scan.
 
 Every lattice decision runs on integers: each normal gets one canonical
 integral form at construction (a primitive integer vector over Q, a pair
@@ -23,11 +25,24 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 from .errors import GuardExceeded
 from .fields import Q, Qrt5, as_scalar, format_scalar, parse_scalar, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, _cut, _integral, _integral_ops, kernel_basis, rank, rref
+from .linalg import (
+    _RING_Q,
+    _RING_RT5,
+    Mat,
+    _cut,
+    _integral,
+    _integral_ops,
+    _minors,
+    _ring_row,
+    kernel_basis,
+    rank,
+    rref,
+)
 
 __all__ = [
     "CentralArrangement",
@@ -43,9 +58,12 @@ __all__ = [
     "circuits",
     "matroid_of_arrangement",
     "CHAMBER_GUARD",
+    "CIRCUIT_BOUND",
 ]
 
 CHAMBER_GUARD = 22
+# A flat's circuits are tabulated iff C(|closed set|, codim + 1) is at most this.
+CIRCUIT_BOUND = 2**15
 
 
 @dataclass(frozen=True)
@@ -176,12 +194,18 @@ class CentralArrangement:
         units = [[Q(int(i == j)) for i in range(dim)] for j in range(dim)]
         self._units = [_integral(u, self._rt5) for u in units]  # the top flat's kernel
         self._bits = {l: 1 << i for i, l in enumerate(labels)}
+        self._ring = _RING_RT5 if self._rt5 else _RING_Q
         self._reject_parallel()
         # filled lazily, write-once
         self._lattice = None
         self._masks = None
         self._rank = None
         self._chambers = None
+        self._scaled = None
+        self._populated = None  # (index, mask, codim, size) of over-populated flats
+        self._circuit_tables = {}  # lattice index -> circuit table
+        self._below = {}  # label mask -> circuit tables of the flats in it
+        self._ray_tables = {}  # label mask -> rays of an over-populated flat (sigma)
 
     def _reject_parallel(self):
         seen = {}
@@ -198,6 +222,13 @@ class CentralArrangement:
             return self._normals[label]
         except KeyError:
             raise KeyError(f"unknown hyperplane label {label!r}") from None
+
+    def _scaled_rows(self):
+        """(d, d*normal) in ring entries for every label, in label order;
+        d > 0 is the normal's least common denominator."""
+        if self._scaled is None:
+            self._scaled = [_ring_row(self._normals[l], self._rt5) for l in self.labels]
+        return self._scaled
 
     def normal_matrix(self) -> Mat:
         return Mat([list(self._normals[l]) for l in self.labels])
@@ -385,13 +416,103 @@ def _eval(normal, point):
     return sum(c * v for c, v in zip(normal, point))
 
 
+def _bit_indices(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _pivot_rows(a, x, idx):
+    """The scaled rows of the labels with indices idx, in x's pivot
+    coordinates: the coordinates of rows of X^perp over its echelon basis."""
+    rows = a._scaled_rows()
+    return [[rows[j][1][c] for c in x.pivots] for j in idx]
+
+
+def _circuit_table(a, i):
+    """The signed circuits spanning the over-populated flat i of the lattice.
+
+    A circuit is a (q+1)-subset S of the closed set, q the codim, whose
+    q-subsets are all independent.  By Cramer's rule its dependency is
+    c_j = (-1)^j det(S - s_j), taken on the scaled rows in the flat's pivot
+    coordinates; a positive row scale keeps every sign.  Each q-minor's sign
+    is computed once, and the table keeps only (support mask, positive mask)
+    per circuit, flattened into one tuple, supports in lexicographic order.
+    """
+    f = a.full_lattice()[i]
+    idx = _bit_indices(a.lattice_masks()[i])
+    sign_of = a._ring.sign
+    minors = _minors(_pivot_rows(a, f, idx), f.codim, a._ring)
+    signs = {m: sign_of(v) for m, v in minors.items()}
+    del minors
+    out = []
+    for subset in combinations(range(len(idx)), f.codim + 1):
+        local = 0
+        for s in subset:
+            local |= 1 << s
+        supp = pos = 0
+        for j, s in enumerate(subset):
+            g = signs[local ^ (1 << s)]
+            if not g:
+                break
+            supp |= 1 << idx[s]
+            if (g > 0) == (j % 2 == 0):
+                pos |= 1 << idx[s]
+        else:
+            out += (supp, pos)
+    return tuple(out)
+
+
+def _circuits_below(a, mask, codim):
+    """[(lattice index, circuit table)] of the over-populated flats of codim
+    at most codim whose closed sets lie in mask, in lattice order, or None
+    when one of them has C(|closed set|, codim + 1) > CIRCUIT_BOUND.
+
+    Every signed circuit inside a flat's closed set spans exactly one such
+    flat below it, so for the mask and codim of a flat these tables list
+    each of its circuits once.  Kept per mask; the tables themselves are
+    shared between masks.
+    """
+    if mask in a._below:
+        return a._below[mask]
+    if a._populated is None:
+        a._populated = [
+            (i, m, f.codim, m.bit_count())
+            for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks()))
+            if m.bit_count() > f.codim
+        ]
+    out = []
+    for i, m, q, size in a._populated:
+        if q > codim:
+            break
+        if m & mask != m:
+            continue
+        if comb(size, q + 1) > CIRCUIT_BOUND:
+            out = None
+            break
+        if i not in a._circuit_tables:
+            a._circuit_tables[i] = _circuit_table(a, i)
+        if a._circuit_tables[i]:
+            out.append((i, a._circuit_tables[i]))
+    a._below[mask] = out
+    return out
+
+
 def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
     """Sign vectors realized by complement points, by pruned DFS.
 
-    Each partial assignment carries an interior witness point; extending by
-    a hyperplane reuses the witness for the sign it already satisfies, so
-    only the flipped branch costs a feasibility solve.  The set is kept on
-    the arrangement, write-once like its lattice.
+    A sign prefix on the first i labels is realized iff no signed circuit
+    among those labels conforms to it (Gordan's alternative and conformal
+    decomposition), so step i checks only the circuits whose highest label
+    is i, and every realized prefix extends: the DFS never dead-ends and
+    needs no witness point.  When some flat's circuit table is over
+    CIRCUIT_BOUND, each prefix carries a witness point instead and only the
+    branch it does not satisfy solves a strict LP.  The set is kept on the
+    arrangement, write-once like its lattice.
     """
     n = a.n_hyperplanes
     if n > CHAMBER_GUARD:
@@ -400,6 +521,36 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
         )
     if a._chambers is not None:
         return a._chambers
+    tables = _circuits_below(a, (1 << n) - 1, a.rank())
+    a._chambers = frozenset(
+        _lp_chambers(a) if tables is None else _circuit_chambers(a, tables)
+    )
+    return a._chambers
+
+
+def _circuit_chambers(a, tables):
+    n = a.n_hyperplanes
+    ending = [[] for _ in range(n)]
+    for _, table in tables:
+        it = iter(table)
+        for supp, pos in zip(it, it):
+            ending[supp.bit_length() - 1].append((supp, pos))
+    out = []
+
+    def descend(i, pos):
+        if i == n:
+            out.append(SignVector(a.labels, tuple(1 if pos >> j & 1 else -1 for j in range(n))))
+            return
+        for p in (pos | 1 << i, pos):
+            if all((p ^ c) & s not in (0, s) for s, c in ending[i]):
+                descend(i + 1, p)
+
+    descend(0, 0)
+    return out
+
+
+def _lp_chambers(a):
+    n = a.n_hyperplanes
     normals = [a.normal(l) for l in a.labels]
     out = set()
 
@@ -425,8 +576,7 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
                     descend(prefix_signs + [s], w)
 
     descend([], None)
-    a._chambers = frozenset(out)
-    return a._chambers
+    return out
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:

@@ -9,15 +9,21 @@ The private integral helpers serve the intersection lattice: a vector over
 Q becomes a primitive integer vector, a vector over Q(sqrt5) a pair of
 integer vectors (A, B) with the vector proportional to A + B*sqrt5, and
 a flat's integer kernel basis becomes a cover's by one fraction-free step.
-They read the ``numerator``/``denominator`` fields of the rationals
+The private ring helpers serve the circuit tables: a normal scaled by its
+least common denominator has int entries over Q and (a, b) pairs for
+a + b*sqrt5 over Q(sqrt5), and every q-minor of a set of such rows comes
+from one expansion pass with ring products alone.
+Both read the ``numerator``/``denominator`` fields of the rationals
 directly, so gmpy2's mpq should work as well as Fraction, but that backend
 has not been tested with them.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .fields import Q, Qrt5, as_scalar
 
@@ -190,10 +196,17 @@ def kernel_basis(m):
 # -- integral forms ----------------------------------------------------------
 
 
-def _cleared(values):
-    """Integer multiples of rationals by their common denominator."""
+def _cleared(vec, rt5):
+    """(d, ints): d the least common denominator of the exact vector's
+    rational parts, ints the integer parts of d*vec, over Q(sqrt5) all the
+    rational parts and then all the sqrt5 parts."""
+    if rt5:
+        parts = [(x.a, x.b) if isinstance(x, Qrt5) else (x, 0) for x in vec]
+        values = [p[0] for p in parts] + [p[1] for p in parts]
+    else:
+        values = [x.a if isinstance(x, Qrt5) else x for x in vec]
     den = lcm(*(int(v.denominator) for v in values))
-    return [int(v.numerator) * (den // int(v.denominator)) for v in values]
+    return den, [int(v.numerator) * (den // int(v.denominator)) for v in values]
 
 
 def _primitive(v):
@@ -227,11 +240,10 @@ def _integral(vec, rt5):
     Over Q (rt5 false) a primitive integer tuple; over Q(sqrt5) an
     (A, B) pair of integer tuples.  Equal forms mean parallel vectors.
     """
+    _, ints = _cleared(vec, rt5)
     if rt5:
-        parts = [(x.a, x.b) if isinstance(x, Qrt5) else (x, 0) for x in vec]
-        ints = _cleared([p[0] for p in parts] + [p[1] for p in parts])
         return _primitive_rt5(ints[: len(vec)], ints[len(vec):])
-    return _primitive(_cleared([x.a if isinstance(x, Qrt5) else x for x in vec]))
+    return _primitive(ints)
 
 
 def _dot(u, v):
@@ -273,6 +285,104 @@ def _integral_ops(rt5):
     if rt5:
         return _dot_rt5, _image_key_rt5, (0, 0), _comb_rt5
     return _dot, _primitive, 0, _comb
+
+
+_Ring = namedtuple("_Ring", "mul add sub dot sign zero of_int")
+_Ring.__doc__ = """Arithmetic on ring entries: ints over Q, (a, b) pairs standing for
+a + b*sqrt5 over Q(sqrt5); of_int makes an int an entry."""
+
+
+def _sign_int(x):
+    return (x > 0) - (x < 0)
+
+
+def _mul_rt5(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + 5 * b * d, a * d + b * c
+
+
+def _add_rt5(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _sub_rt5(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _sign_rt5(x):
+    """Exact sign of a + b*sqrt5 for integers a, b."""
+    a, b = x
+    sa, sb = _sign_int(a), _sign_int(b)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > 5 * b * b else sb
+
+
+def _dot_pairs(u, v):
+    a = b = 0
+    for (x1, x2), (y1, y2) in zip(u, v):
+        a += x1 * y1 + 5 * x2 * y2
+        b += x1 * y2 + x2 * y1
+    return a, b
+
+
+_RING_Q = _Ring(mul, add, sub, _dot, _sign_int, 0, int)
+_RING_RT5 = _Ring(_mul_rt5, _add_rt5, _sub_rt5, _dot_pairs, _sign_rt5, (0, 0), lambda k: (k, 0))
+
+
+def _ring_row(vec, rt5):
+    """(d, d*vec) in ring entries, d the least common denominator of the
+    exact vector.  A positive scale keeps the sign of every product with
+    the vector."""
+    d, ints = _cleared(vec, rt5)
+    if rt5:
+        return d, tuple(zip(ints[: len(vec)], ints[len(vec):]))
+    return d, tuple(ints)
+
+
+def _ring_primitive(values, rt5):
+    """Ring entries divided by the gcd of all their integer parts, a
+    positive integer, so the signs stay; all zero entries stay zero."""
+    g = gcd(*(p for v in values for p in v)) if rt5 else gcd(*values)
+    if g <= 1:
+        return tuple(values)
+    if rt5:
+        return tuple((a // g, b // g) for a, b in values)
+    return tuple(v // g for v in values)
+
+
+def _ring_scalars(values, rt5):
+    """Field scalars of primitive ring entries."""
+    values = _ring_primitive(values, rt5)
+    if rt5:
+        return [Qrt5(a, b) for a, b in values]
+    return [Q(v) for v in values]
+
+
+def _minors(rows, q, ring):
+    """det of the rows S, in order, on their first q columns, for every
+    q-subset S of the rows, keyed by the mask of S's row indices.
+
+    A k-minor expands along its last column into (k-1)-minors, so each
+    minor on the first k columns is computed once, by ring products alone.
+    """
+    mul_, add_, sub_ = ring.mul, ring.add, ring.sub
+    prev = {0: ring.of_int(1)}
+    for col in range(q):
+        cur = {}
+        for subset in combinations(range(len(rows)), col + 1):
+            mask = 0
+            for s in subset:
+                mask |= 1 << s
+            total = ring.zero
+            for j, s in enumerate(subset):
+                t = mul_(rows[s][col], prev[mask ^ (1 << s)])
+                total = sub_(total, t) if (j + col) % 2 else add_(total, t)
+            cur[mask] = total
+        prev = cur
+    return prev
 
 
 def _cut(ker, free, images, zero, comb):

@@ -22,7 +22,7 @@ from math import prod
 from .arrangement import SignVector, _eval
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, sign
-from .linalg import Mat, det, kernel_basis, rank, solve
+from .linalg import Mat, _cleared, det, kernel_basis, rank, solve
 from .msbuild import (
     GenericArrangement,
     MSArrangement,
@@ -215,10 +215,15 @@ def _audit_family(g: GenericArrangement, fam: SetFamily, target_codim: int):
     if full_rank != target_codim:
         return None
     audit.append((f"codim of full intersection = {target_codim}", full_rank))
+    # alpha_I is in the span of the rows iff it is orthogonal to their
+    # kernel; it vanishes off I
+    kernel = [_cleared(v, False)[1] for v in kernel_basis(Mat(rows))]
     member_set = {tuple(T) for T in members}
     for I in combinations(range(1, g.n + 1), g.k + 1):
-        if I not in member_set and rank(Mat([*rows, list(alpha_I(g, I))])) == full_rank:
-            return None
+        if I not in member_set:
+            alpha = alpha_I(g, I)
+            if all(sum(alpha[i - 1] * k[i - 1] for i in I) == 0 for k in kernel):
+                return None
     audit.append(("localization contains no further hyperplane", True))
     return audit
 

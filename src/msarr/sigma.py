@@ -6,6 +6,13 @@ flats of codimension exactly min(p, rank): consistency at a flat implies
 consistency at every flat below it, and every lower flat extends upward
 while codim < rank.  Non-membership always carries a positive relation
 certificate; membership carries interior points.
+
+A flat is decided by signed circuits on label masks (Gordan's alternative
+and conformal decomposition: eps fails at X iff a signed circuit inside
+X's closed set conforms to it), its interior point is a sum of oriented
+rays of the flats one codim down, and both are exact integer work.  A
+strict LP runs only at a flat with a circuit table over CIRCUIT_BOUND
+below it.
 """
 
 from __future__ import annotations
@@ -20,14 +27,17 @@ from .arrangement import (
     Flat,
     GordanCertificate,
     SignVector,
+    _bit_indices,
+    _circuits_below,
     _eval,
+    _pivot_rows,
     chamber_sign_vectors,
     essentialize,
 )
 from .errors import GuardExceeded, VerificationError
 from .fields import Q, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, kernel_basis, rref, solve
+from .linalg import Mat, _minors, _ring_primitive, _ring_scalars, kernel_basis, rref
 
 __all__ = [
     "SigmaReport",
@@ -73,19 +83,142 @@ def _lift(dim, pivots, y):
     return tuple(point)
 
 
+def _conforming(tables, pos):
+    """(lattice index, support, agrees) of the first circuit of the tables
+    that conforms to the sign vector with positive-label mask pos, or None.
+
+    agrees tells whether the sign vector has the circuit's signs on its
+    support, or their negatives.
+    """
+    for i, table in tables:
+        it = iter(table)
+        for supp, cpos in zip(it, it):
+            t = (pos ^ cpos) & supp
+            if t == 0 or t == supp:
+                return i, supp, t == 0
+    return None
+
+
+def _circuit_certificate(a, eps, i, supp, agrees):
+    """The Gordan certificate of the circuit with support supp spanning the
+    lattice flat i, to which eps conforms.
+
+    With the scaled rows d_j a_j and Cramer's c_j, sum c_j d_j a_j = 0, so
+    lambda_j = +-eps_j c_j d_j > 0, the sign + iff eps agrees with c.
+    """
+    f = a.full_lattice()[i]
+    ring = a._ring
+    idx = _bit_indices(supp)
+    scaled = a._scaled_rows()
+    minors = _minors(_pivot_rows(a, f, idx), f.codim, ring)
+    full = (1 << len(idx)) - 1
+    tau = 1 if agrees else -1
+    labels = [a.labels[k] for k in idx]
+    coeffs = []
+    for j, (k, l) in enumerate(zip(idx, labels)):
+        scale = tau * (-1) ** j * eps.sign_of(l) * scaled[k][0]
+        coeffs.append(ring.mul(minors[full ^ (1 << j)], ring.of_int(scale)))
+    cert = GordanCertificate(tuple(labels), tuple(_ring_scalars(coeffs, a._rt5)))
+    if not cert.verify(a, eps):
+        raise VerificationError(f"circuit certificate fails at {labels}")
+    return cert
+
+
+def _rays(a, x, idx):
+    """(support, positive mask, ray) for each codim-(q-1) flat Y below x,
+    flattened into one tuple, q + 2 entries each.
+
+    The ray spans Y modulo x, in x's pivot coordinates: the generalized
+    cross product ray_k = (-1)^k det(T without column k) of q - 1
+    independent scaled rows T, orthogonal to exactly the rows of Y.  The
+    subsets T are met in lexicographic order and each Y keeps the first;
+    support holds x's labels off Y and the positive mask those whose rows
+    have a positive product with the ray.
+    """
+    q = x.codim
+    ring = a._ring
+    xrows = dict(zip(idx, _pivot_rows(a, x, idx)))
+    full = (1 << q) - 1
+    out = []
+    for t in combinations(idx, q - 1):
+        tmask = 0
+        for j in t:
+            tmask |= 1 << j
+        if any(tmask & supp == 0 for supp in out[:: q + 2]):
+            continue  # t lies in a flat met already
+        minors = _minors([[xrows[j][k] for j in t] for k in range(q)], q - 1, ring)
+        ray = [minors[full ^ (1 << k)] for k in range(q)]
+        ray = [ring.sub(ring.zero, v) if k % 2 else v for k, v in enumerate(ray)]
+        ray = _ring_primitive(ray, a._rt5)
+        if all(v == ring.zero for v in ray):
+            continue  # t is dependent
+        supp = pos = 0
+        for j in idx:
+            g = ring.sign(ring.dot(xrows[j], ray))
+            if g:
+                supp |= 1 << j
+            if g > 0:
+                pos |= 1 << j
+        out += (supp, pos, *ray)
+    return tuple(out)
+
+
+def _cocircuit_point(a, x, mask, pos):
+    """An interior point of the local cone of the sign vector with positive
+    mask pos at x, in x's pivot coordinates, when no circuit conforms.
+
+    The cone is pointed (the closed set spans X^perp) and full, so it is
+    spanned by its extreme rays, each the ray of a codim-(q-1) flat below x
+    oriented to the sign vector, and the sum of all rays that orient is
+    interior.  It is checked by substitution into every scaled row.
+    """
+    idx = _bit_indices(mask)
+    rays = a._ray_tables.get(mask)
+    if rays is None:
+        rays = _rays(a, x, idx)
+        if len(idx) > x.codim:
+            a._ray_tables[mask] = rays
+    ring = a._ring
+    q = x.codim
+    total = [ring.zero] * q
+    for k in range(0, len(rays), q + 2):
+        supp, rpos = rays[k], rays[k + 1]
+        t = (pos ^ rpos) & supp
+        if t == 0:
+            total = [ring.add(u, v) for u, v in zip(total, rays[k + 2 : k + q + 2])]
+        elif t == supp:
+            total = [ring.sub(u, v) for u, v in zip(total, rays[k + 2 : k + q + 2])]
+    for j, row in zip(idx, _pivot_rows(a, x, idx)):
+        if ring.sign(ring.dot(row, total)) != (1 if pos >> j & 1 else -1):
+            raise VerificationError(f"ray sum misses the sign of {a.labels[j]!r} at {sorted(x.closed_set)}")
+    return _lift(a.dim, x.pivots, _ring_scalars(total, a._rt5))
+
+
 def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     """(True, interior point) or (False, GordanCertificate) at the flat x.
 
     The system is solved in the flat's normal-space coordinates: each
-    localized row lies in the span of the echelon basis of X^perp, so its
-    pivot-column entries are its coordinates there, and a point in the
-    reduced system lifts by scattering onto the pivot columns.  When the
-    closed set numbers codim its normals are independent, hold no circuit
-    and realize every local sign pattern: the square system N y = eps is
-    solved directly and its lifted point checked by substitution.  Any
-    other flat solves a strict LP.  Results are cached on the arrangement,
-    one entry per flat and local sign pattern met, so at most sum over
-    flats of 2^|closed set|.
+    localized row lies in X^perp, so its pivot-column entries are its
+    coordinates over the echelon basis there, and a point in the reduced
+    system lifts by scattering onto the pivot columns.
+
+    - eps fails at x iff a signed circuit inside the closed set conforms
+      to it (Gordan's alternative and conformal decomposition).  The
+      circuit tables of the over-populated flats below x, x included, are
+      scanned in lattice order, each in lexicographic order, so the first
+      conforming circuit, and its certificate, are deterministic.  When the
+      closed set numbers codim its normals are independent: no circuit.
+    - Without one, the sum of the oriented rays of the codim-(q-1) flats
+      below x is an interior point.
+    - Only when one of those tables has C(|closed set|, codim + 1) over
+      CIRCUIT_BOUND does x solve a strict LP.
+
+    Certificates and points are verified by substitution.  Three tables
+    are kept on the arrangement, each with a bound: one circuit table per
+    over-populated flat, at most CIRCUIT_BOUND pairs of label masks; one
+    ray table per over-populated flat met, at most one ray per
+    codim-(q-1) flat of the lattice below it; and the results, one per flat
+    and local sign pattern met, so at most sum over flats of 2^|closed set|.
     """
     labels = sorted(x.closed_set)
     if not labels:
@@ -93,32 +226,37 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     signs = tuple(eps.sign_of(l) for l in labels)
     cache = _cache(a)
     key = (x.closed_set, signs)
-    if key in cache:
-        return cache[key]
+    if key not in cache:
+        cache[key] = _decide(a, eps, x, labels, signs)
+    return cache[key]
+
+
+def _decide(a, eps, x, labels, signs):
+    """consistent_at's answer on a cache miss."""
+    mask = a.label_mask(labels)
+    # the labels of a flat with |closed set| = codim, and so of every flat
+    # below it, are independent: no circuit
+    tables = [] if len(labels) == x.codim else _circuits_below(a, mask, x.codim)
+    if tables is None:
+        return _lp_decide(a, x, labels, signs)
+    pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
+    hit = _conforming(tables, pos)
+    if hit is not None:
+        return False, _circuit_certificate(a, eps, *hit)
+    return True, _cocircuit_point(a, x, mask, pos)
+
+
+def _lp_decide(a, x, labels, signs):
+    """The strict LP of x's localized rows in its pivot coordinates."""
     piv = x.pivots
-    if len(labels) == x.codim:
-        square = [[a.normal(l)[c] for c in piv] for l in labels]
-        point = _lift(a.dim, piv, solve(square, signs))
-        if any(sign(_eval(a.normal(l), point)) != s for l, s in zip(labels, signs)):
-            raise VerificationError(f"solved point misses eps at {labels}")
-        out = (True, point)
-    else:
-        reduced = [
-            [s * a.normal(l)[c] for c in piv] for l, s in zip(labels, signs)
-        ]
-        res = strict_feasibility(reduced)
-        if res.feasible:
-            out = (True, _lift(a.dim, piv, res.point))
-        else:
-            support = []
-            coeffs = []
-            for l, lam in zip(labels, res.certificate):
-                if lam > 0:
-                    support.append(l)
-                    coeffs.append(lam)
-            out = (False, GordanCertificate(tuple(support), tuple(coeffs)))
-    cache[key] = out
-    return out
+    res = strict_feasibility(
+        [[s * a.normal(l)[c] for c in piv] for l, s in zip(labels, signs)]
+    )
+    if res.feasible:
+        return True, _lift(a.dim, piv, res.point)
+    support = [l for l, lam in zip(labels, res.certificate) if lam > 0]
+    coeffs = [lam for lam in res.certificate if lam > 0]
+    return False, GordanCertificate(tuple(support), tuple(coeffs))
 
 
 def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = False) -> SigmaReport:

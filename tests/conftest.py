@@ -2,9 +2,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from msarr.fields import Q, Qrt5
 from msarr import (
     CentralArrangement,
     build_ms,
@@ -53,3 +55,25 @@ def boolean(rank):
     return CentralArrangement(
         rank, [(f"e{i}", [1 if j == i else 0 for j in range(rank)]) for i in range(rank)]
     )
+
+
+def _entry(rt5):
+    rational = st.builds(Q, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    if not rt5:
+        return rational
+    return st.builds(Qrt5, rational, rational)
+
+
+@st.composite
+def small_arrangements(draw, rt5, max_hyperplanes):
+    """(dim, normals): dim 2..4 and 1..max_hyperplanes nonzero normals with
+    small entries in Q, or in Q(sqrt5) when rt5."""
+    dim = draw(st.integers(2, 4))
+    normals = draw(
+        st.lists(
+            st.lists(_entry(rt5), min_size=dim, max_size=dim).filter(lambda v: any(v)),
+            min_size=1,
+            max_size=max_hyperplanes,
+        )
+    )
+    return dim, normals

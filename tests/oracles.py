@@ -132,12 +132,28 @@ def naive_sigma_member(arrangement, eps, p):
     for codim, closed in brute_force_flats(arrangement):
         if codim > p or not closed:
             continue
-        rows = [
-            [eps.sign_of(l) * c for c in arrangement.normal(l)] for l in sorted(closed)
-        ]
-        if not strict_feasibility(rows).feasible:
+        if not lp_realizes(arrangement, eps, closed):
             return False
     return True
+
+
+def lp_realizes(arrangement, eps, labels):
+    """Some point has the signs of eps on the labels: one strict LP on
+    their normals in full dimension."""
+    rows = [[eps.sign_of(l) * c for c in arrangement.normal(l)] for l in sorted(labels)]
+    return strict_feasibility(rows).feasible
+
+
+def is_circuit(arrangement, labels):
+    """The normals of labels have rank |labels| - 1 and every proper subset
+    is independent, by rank on each subset missing one label."""
+    labels = list(labels)
+
+    def rk(sub):
+        return rank(Mat([list(arrangement.normal(l)) for l in sub]))
+
+    k = len(labels)
+    return rk(labels) == k - 1 and all(rk(labels[:i] + labels[i + 1:]) == k - 1 for i in range(k))
 
 
 def lattice_sigma_failing_flat(arrangement, eps, p):
@@ -149,12 +165,7 @@ def lattice_sigma_failing_flat(arrangement, eps, p):
     """
     q = min(p, arrangement.rank())
     for f in arrangement.full_lattice():
-        if f.codim != q:
-            continue
-        rows = [
-            [eps.sign_of(l) * c for c in arrangement.normal(l)] for l in sorted(f.closed_set)
-        ]
-        if not strict_feasibility(rows).feasible:
+        if f.codim == q and not lp_realizes(arrangement, eps, f.closed_set):
             return f
     return None
 

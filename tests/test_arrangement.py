@@ -31,7 +31,7 @@ from msarr import (
     witness_rank_r,
 )
 from msarr.pnk import SetFamily
-from conftest import boolean
+from conftest import boolean, small_arrangements
 
 
 def lattice_closed_sets(a):
@@ -174,31 +174,11 @@ def test_non_essential_case_has_rank_three():
     assert max(f.codim for f in a.full_lattice()) == 3
 
 
-def _entry(rt5):
-    rational = st.builds(Q, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
-    if not rt5:
-        return rational
-    return st.builds(Qrt5, rational, rational)
-
-
-@st.composite
-def small_arrangements(draw, rt5):
-    dim = draw(st.integers(2, 4))
-    normals = draw(
-        st.lists(
-            st.lists(_entry(rt5), min_size=dim, max_size=dim).filter(lambda v: any(v)),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    return dim, normals
-
-
 @pytest.mark.parametrize("rt5", [False, True], ids=["Q", "Qrt5"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lattice_matches_echelon_oracle_on_random_arrangements(rt5, data):
-    dim, normals = data.draw(small_arrangements(rt5))
+    dim, normals = data.draw(small_arrangements(rt5, 6))
     assume(all(rank(Mat([u, v])) == 2 for i, u in enumerate(normals) for v in normals[:i]))
     a = CentralArrangement(dim, [(f"h{i}", v) for i, v in enumerate(normals)])
     assert flat_data(a.full_lattice()) == flat_data(oracles.echelon_lattice(a))

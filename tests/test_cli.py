@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from msarr import feasibility
 from msarr.cli import REFERENCE_ORBITS, main, orbit_canonical
+from msarr.feasibility import strict_feasibility
 
 
 @pytest.fixture()
@@ -79,6 +81,8 @@ def test_sigma_member_and_nonmember(runner, arr52):
 
 
 def test_sigma_lp_count_is_per_command(runner, arr52):
+    # membership on B(5,2) solves no LP, so one solved between the two
+    # commands would show in the second report if the counter were cumulative
     with open(arr52) as fh:
         member = "+" * len(json.load(fh)["hyperplanes"])
     counts = []
@@ -86,7 +90,10 @@ def test_sigma_lp_count_is_per_command(runner, arr52):
         r = invoke(runner, "sigma", "--arrangement", arr52, "--eps", member, "--p", "2")
         assert r.exit_code == 0
         counts.append(json.loads(r.output)["timing"]["lp_count"])
-    assert counts[0] == counts[1] > 0
+        solved = feasibility.lp_count()
+        strict_feasibility([[1, 0], [0, 1]])
+        assert feasibility.lp_count() == solved + 1
+    assert counts == [0, 0]
 
 
 def test_sigma_scan_clean_levels(runner, arr52):

@@ -233,23 +233,43 @@ def count_strict_lps(monkeypatch):
     return rows
 
 
+def count_chamber_tests(monkeypatch, rank):
+    """Number of in_sigma_p calls at level rank made from nonvgen."""
+    calls = []
+
+    def counted(a, eps, p, audit=False):
+        calls.append(p == rank)
+        return in_sigma_p(a, eps, p, audit)
+
+    monkeypatch.setattr(nonvgen, "in_sigma_p", counted)
+    return calls
+
+
 def test_jump_without_vertex_points_matches_lp_oracle(monkeypatch):
-    # every pattern then goes to the chamber LP of in_sigma_p at level rank
+    # every pattern then goes to the chamber test, in_sigma_p at level rank
     calls = []
     monkeypatch.setattr(nonvgen, "_vertex_points", lambda *args: calls.append(args))
     rows = count_strict_lps(monkeypatch)
-    new, old = jump_pair(witness_rank3, 6, 3, 0)
+    chamber_tests = count_chamber_tests(monkeypatch, 3)
+    solved = feasibility.lp_count()
+    w = witness_rank3(6, 3, seed=0)
+    m, _ = perturb_to_very_generic(w, seed=0)
+    assert m.arrangement.rank() == 3
+    new = jump_after_perturbation(m, w, seed=0)
     assert calls
-    assert new == old
-    assert rows.count(15) > 2
+    assert sum(chamber_tests) > 2
+    assert rows == [] and feasibility.lp_count() == solved
+    m.arrangement._consistency_cache = {}
+    assert new == oracles.lp_jump_after_perturbation(m, w, seed=0)
 
 
-def test_jump_solves_one_whole_arrangement_lp(ms62_perturbed, w62, monkeypatch):
+def test_jump_solves_no_lp(ms62_perturbed, w62, monkeypatch):
+    # every flat met is within CIRCUIT_BOUND, so no binding solves an LP
     a = ms62_perturbed.arrangement
     monkeypatch.setattr(a, "_consistency_cache", {}, raising=False)
     rows = count_strict_lps(monkeypatch)
     solved = feasibility.lp_count()
     jump_after_perturbation(ms62_perturbed, w62, seed=0)
-    assert rows.count(a.n_hyperplanes) == 1
-    assert feasibility.lp_count() - solved <= 67
+    assert rows == []
+    assert feasibility.lp_count() == solved
     assert not hasattr(nonvgen, "strict_feasibility")

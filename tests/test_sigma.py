@@ -1,14 +1,18 @@
 """Consistency filtration, jumps, simple chambers and product structure."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import boolean
-from msarr import feasibility
+from conftest import boolean, small_arrangements
+from msarr import arrangement, feasibility
 from msarr.errors import GuardExceeded
 from msarr.fields import Q, sign
+from msarr.linalg import Mat, rank
 from msarr.sigma import _simple_chambers
 from msarr import (
     CentralArrangement,
@@ -28,6 +32,7 @@ from msarr import (
     sigma_product_check,
     sigma_set,
     walls,
+    zaslavsky_chambers,
 )
 
 
@@ -215,6 +220,93 @@ def test_membership_matches_lattice_order_oracle(name, w62):
             else:
                 assert rep.certificate.verify(a, eps)
                 assert set(rep.certificate.support) <= rep.failing_flat.closed_set
+
+
+# -- circuits and cocircuits against the strict LP ----------------------------------
+
+
+def local_sign_vectors(a, x, rng, cap):
+    """Sign vectors that are + off x and run over x's local sign patterns:
+    all of them when they number at most cap, else cap random ones."""
+    labels = sorted(x.closed_set)
+    if 2 ** len(labels) <= cap:
+        patterns = product((1, -1), repeat=len(labels))
+    else:
+        patterns = [tuple(rng.choice((1, -1)) for _ in labels) for _ in range(cap)]
+    for pattern in patterns:
+        local = dict(zip(labels, pattern))
+        yield SignVector(a.labels, tuple(local.get(l, 1) for l in a.labels))
+
+
+def assert_consistent_at_matches_lp(a, x, eps):
+    """Verdict, solving no LP, against the full-dimension strict LP; the
+    point by substitution; the certificate verified, inside x and a circuit."""
+    solved = feasibility.lp_count()
+    ok, payload = consistent_at(a, eps, x)
+    assert feasibility.lp_count() == solved
+    assert ok == oracles.lp_realizes(a, eps, x.closed_set)
+    if ok:
+        assert realizes(a, eps, x.closed_set, payload)
+    else:
+        assert payload.verify(a, eps)
+        assert set(payload.support) <= x.closed_set
+        assert oracles.is_circuit(a, payload.support)
+
+
+@pytest.mark.parametrize("name", CASES + ("perturbed62",))
+def test_circuit_verdicts_match_lp_at_every_over_populated_flat(name, w62, ms62_perturbed):
+    if name == "perturbed62":
+        a = CentralArrangement.from_json(ms62_perturbed.arrangement.to_json())
+        cap = 4
+    else:
+        a = independent_case(name, w62)
+        cap = 16
+    rng = random.Random(14)
+    flats = [f for f in a.full_lattice() if len(f.closed_set) > f.codim]
+    assert flats
+    for f in flats:
+        for eps in local_sign_vectors(a, f, rng, cap):
+            assert_consistent_at_matches_lp(a, f, eps)
+
+
+@pytest.mark.parametrize("rt5", [False, True], ids=["Q", "Qrt5"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_circuit_verdicts_match_lp_on_random_arrangements(rt5, data):
+    dim, normals = data.draw(small_arrangements(rt5, 7))
+    assume(all(rank(Mat([u, v])) == 2 for i, u in enumerate(normals) for v in normals[:i]))
+    a = CentralArrangement(dim, [(f"h{i}", v) for i, v in enumerate(normals)])
+    rng = random.Random(15)
+    for f in a.full_lattice()[1:]:
+        for eps in local_sign_vectors(a, f, rng, 8):
+            assert_consistent_at_matches_lp(a, f, eps)
+    # realized sign vectors as many as Zaslavsky's count are all the chambers
+    chambers = chamber_sign_vectors(a)
+    assert len(chambers) == zaslavsky_chambers(a)
+    assert all(oracles.lp_realizes(a, ch, a.labels) for ch in chambers)
+
+
+@pytest.mark.parametrize("name", ["moment52", "h3-sub"])
+def test_over_bound_flats_take_the_lp_paths(name, monkeypatch):
+    """With CIRCUIT_BOUND 0 every over-populated flat is over it: chambers
+    and membership then come from strict LPs, and agree with the circuits."""
+    if name == "moment52":
+        a = independent_case(name, None)
+    else:
+        h3 = build_ms(named_base("h3")).arrangement
+        a = essential_sub(h3, ("1235", "1245", "1256", "1346", "1456", "2346"))
+    copy = CentralArrangement.from_json(a.to_json())
+    probes = probe_sign_vectors(a, random.Random(16), count=2)
+    expected = [in_sigma_p(a, eps, p).failing_flat for eps in probes for p in range(2, a.rank() + 1)]
+    chambers = chamber_sign_vectors(a)
+    monkeypatch.setattr(arrangement, "CIRCUIT_BOUND", 0)
+    solved = feasibility.lp_count()
+    assert chamber_sign_vectors(copy) == chambers
+    assert feasibility.lp_count() > solved
+    solved = feasibility.lp_count()
+    got = [in_sigma_p(copy, eps, p).failing_flat for eps in probes for p in range(2, a.rank() + 1)]
+    assert got == expected
+    assert feasibility.lp_count() > solved
 
 
 def test_membership_matches_naive_oracle_on_moment52():
