@@ -25,11 +25,9 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb
 
 from .errors import GuardExceeded
-from .fields import Q, Qrt5, as_scalar, format_scalar, parse_scalar, sign
-from .feasibility import strict_feasibility
+from .fields import Q, Qrt5, as_scalar, format_scalar, parse_scalar
 from .linalg import (
     _RING_Q,
     _RING_RT5,
@@ -58,12 +56,9 @@ __all__ = [
     "circuits",
     "matroid_of_arrangement",
     "CHAMBER_GUARD",
-    "CIRCUIT_BOUND",
 ]
 
 CHAMBER_GUARD = 22
-# A flat's circuits are tabulated iff C(|closed set|, codim + 1) is at most this.
-CIRCUIT_BOUND = 2**15
 
 
 @dataclass(frozen=True)
@@ -202,10 +197,9 @@ class CentralArrangement:
         self._rank = None
         self._chambers = None
         self._scaled = None
-        self._populated = None  # (index, mask, codim, size) of over-populated flats
+        self._populated = None  # (index, mask, codim) of over-populated flats
         self._circuit_tables = {}  # lattice index -> circuit table
         self._below = {}  # label mask -> circuit tables of the flats in it
-        self._ray_tables = {}  # label mask -> rays of an over-populated flat (sigma)
 
     def _reject_parallel(self):
         seen = {}
@@ -469,37 +463,44 @@ def _circuit_table(a, i):
 
 def _circuits_below(a, mask, codim):
     """[(lattice index, circuit table)] of the over-populated flats of codim
-    at most codim whose closed sets lie in mask, in lattice order, or None
-    when one of them has C(|closed set|, codim + 1) > CIRCUIT_BOUND.
+    at most codim whose closed sets lie in mask, in lattice order.
 
     Every signed circuit inside a flat's closed set spans exactly one such
     flat below it, so for the mask and codim of a flat these tables list
     each of its circuits once.  Kept per mask; the tables themselves are
-    shared between masks.
+    shared between masks.  A table of n labels at codim q costs the
+    sum over k <= q + 1 of C(n, k) minors and subsets, which grows with n
+    and q, so no table below a flat costs more than the flat's own.
     """
     if mask in a._below:
         return a._below[mask]
     if a._populated is None:
         a._populated = [
-            (i, m, f.codim, m.bit_count())
+            (i, m, f.codim)
             for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks()))
             if m.bit_count() > f.codim
         ]
     out = []
-    for i, m, q, size in a._populated:
+    for i, m, q in a._populated:
         if q > codim:
             break
         if m & mask != m:
             continue
-        if comb(size, q + 1) > CIRCUIT_BOUND:
-            out = None
-            break
         if i not in a._circuit_tables:
             a._circuit_tables[i] = _circuit_table(a, i)
         if a._circuit_tables[i]:
             out.append((i, a._circuit_tables[i]))
     a._below[mask] = out
     return out
+
+
+def _signed_circuits(tables):
+    """(lattice index, support mask, positive mask) of each circuit of the
+    tables from _circuits_below, in their order."""
+    for i, table in tables:
+        it = iter(table)
+        for supp, pos in zip(it, it):
+            yield i, supp, pos
 
 
 def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
@@ -509,10 +510,9 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
     among those labels conforms to it (Gordan's alternative and conformal
     decomposition), so step i checks only the circuits whose highest label
     is i, and every realized prefix extends: the DFS never dead-ends and
-    needs no witness point.  When some flat's circuit table is over
-    CIRCUIT_BOUND, each prefix carries a witness point instead and only the
-    branch it does not satisfy solves a strict LP.  The set is kept on the
-    arrangement, write-once like its lattice.
+    needs no witness point.  The circuit tables are those of every
+    over-populated flat, so CHAMBER_GUARD bounds them with the chambers.
+    The set is kept on the arrangement, write-once like its lattice.
     """
     n = a.n_hyperplanes
     if n > CHAMBER_GUARD:
@@ -521,20 +521,9 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
         )
     if a._chambers is not None:
         return a._chambers
-    tables = _circuits_below(a, (1 << n) - 1, a.rank())
-    a._chambers = frozenset(
-        _lp_chambers(a) if tables is None else _circuit_chambers(a, tables)
-    )
-    return a._chambers
-
-
-def _circuit_chambers(a, tables):
-    n = a.n_hyperplanes
     ending = [[] for _ in range(n)]
-    for _, table in tables:
-        it = iter(table)
-        for supp, pos in zip(it, it):
-            ending[supp.bit_length() - 1].append((supp, pos))
+    for _, supp, pos in _signed_circuits(_circuits_below(a, (1 << n) - 1, a.rank())):
+        ending[supp.bit_length() - 1].append((supp, pos))
     out = []
 
     def descend(i, pos):
@@ -546,37 +535,8 @@ def _circuit_chambers(a, tables):
                 descend(i + 1, p)
 
     descend(0, 0)
-    return out
-
-
-def _lp_chambers(a):
-    n = a.n_hyperplanes
-    normals = [a.normal(l) for l in a.labels]
-    out = set()
-
-    def solve(prefix_signs):
-        rows = [
-            [s * c for c in normals[i]] for i, s in enumerate(prefix_signs)
-        ]
-        res = strict_feasibility(rows)
-        return res.point
-
-    def descend(prefix_signs, witness):
-        i = len(prefix_signs)
-        if i == n:
-            out.add(SignVector(a.labels, tuple(prefix_signs)))
-            return
-        val = sign(_eval(normals[i], witness)) if witness is not None else 0
-        for s in (1, -1):
-            if val == s:
-                descend(prefix_signs + [s], witness)
-            else:
-                w = solve(prefix_signs + [s])
-                if w is not None:
-                    descend(prefix_signs + [s], w)
-
-    descend([], None)
-    return out
+    a._chambers = frozenset(out)
+    return a._chambers
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:

@@ -11,8 +11,9 @@ integer vectors (A, B) with the vector proportional to A + B*sqrt5, and
 a flat's integer kernel basis becomes a cover's by one fraction-free step.
 The private ring helpers serve the circuit tables: a normal scaled by its
 least common denominator has int entries over Q and (a, b) pairs for
-a + b*sqrt5 over Q(sqrt5), and every q-minor of a set of such rows comes
-from one expansion pass with ring products alone.
+a + b*sqrt5 over Q(sqrt5); every q-minor of a set of such rows comes
+from one expansion pass with ring products alone, and the kernel vector of
+m independent rows of length m + 1 from one fraction-free elimination.
 Both read the ``numerator``/``denominator`` fields of the rationals
 directly, so gmpy2's mpq should work as well as Fraction, but that backend
 has not been tested with them.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .fields import Q, Qrt5, as_scalar
 
@@ -287,9 +288,10 @@ def _integral_ops(rt5):
     return _dot, _primitive, 0, _comb
 
 
-_Ring = namedtuple("_Ring", "mul add sub dot sign zero of_int")
+_Ring = namedtuple("_Ring", "mul add sub div dot sign zero of_int")
 _Ring.__doc__ = """Arithmetic on ring entries: ints over Q, (a, b) pairs standing for
-a + b*sqrt5 over Q(sqrt5); of_int makes an int an entry."""
+a + b*sqrt5 over Q(sqrt5); div is exact division, for quotients known to
+be ring entries; of_int makes an int an entry."""
 
 
 def _sign_int(x):
@@ -307,6 +309,12 @@ def _add_rt5(x, y):
 
 def _sub_rt5(x, y):
     return x[0] - y[0], x[1] - y[1]
+
+
+def _div_rt5(x, y):
+    (a, b), (c, d) = x, y
+    norm = c * c - 5 * d * d
+    return (a * c - 5 * b * d) // norm, (b * c - a * d) // norm
 
 
 def _sign_rt5(x):
@@ -328,8 +336,10 @@ def _dot_pairs(u, v):
     return a, b
 
 
-_RING_Q = _Ring(mul, add, sub, _dot, _sign_int, 0, int)
-_RING_RT5 = _Ring(_mul_rt5, _add_rt5, _sub_rt5, _dot_pairs, _sign_rt5, (0, 0), lambda k: (k, 0))
+_RING_Q = _Ring(mul, add, sub, floordiv, _dot, _sign_int, 0, int)
+_RING_RT5 = _Ring(
+    _mul_rt5, _add_rt5, _sub_rt5, _div_rt5, _dot_pairs, _sign_rt5, (0, 0), lambda k: (k, 0)
+)
 
 
 def _ring_row(vec, rt5):
@@ -383,6 +393,51 @@ def _minors(rows, q, ring):
             cur[mask] = total
         prev = cur
     return prev
+
+
+def _ring_kernel(rows, ring):
+    """The kernel vector of m rows of length m + 1, or None when they are
+    dependent.  It is +-(-1)^k det(rows without column k), their generalized
+    cross product, so it is the same up to sign whatever the row order.
+
+    Fraction-free forward elimination (Bareiss 1968) leaves in row r the
+    (r+1)-minors on rows 0..r and the pivot columns, so its last pivot d is
+    +-det on the pivot columns.  The kernel vector is d on the free column
+    and, by back substitution, the Cramer numerators on the pivot columns;
+    each of those is a ring entry, so every division is exact.
+    """
+    mul_, sub_, div_, zero = ring.mul, ring.sub, ring.div, ring.zero
+    a = [list(row) for row in rows]
+    m = len(a)
+    prev = ring.of_int(1)
+    pivots = []
+    for c in range(m + 1):
+        r = len(pivots)
+        if r == m:
+            break
+        k = next((i for i in range(r, m) if a[i][c] != zero), None)
+        if k is None:
+            continue
+        a[k], a[r] = a[r], a[k]
+        ar, piv = a[r], a[r][c]
+        for i in range(r + 1, m):
+            ai, t = a[i], a[i][c]
+            for j in range(c + 1, m + 1):
+                ai[j] = div_(sub_(mul_(piv, ai[j]), mul_(t, ar[j])), prev)
+            ai[c] = zero
+        prev = piv
+        pivots.append(c)
+    if len(pivots) < m:
+        return None
+    free = next(c for c in range(m + 1) if c not in pivots)
+    out = [zero] * (m + 1)
+    out[free] = prev
+    for r in range(m - 1, -1, -1):
+        total = mul_(prev, a[r][free])
+        for s in range(r + 1, m):
+            total = ring.add(total, mul_(a[r][pivots[s]], out[pivots[s]]))
+        out[pivots[r]] = div_(sub_(zero, total), a[r][pivots[r]])
+    return out
 
 
 def _cut(ker, free, images, zero, comb):

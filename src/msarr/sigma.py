@@ -11,8 +11,8 @@ A flat is decided by signed circuits on label masks (Gordan's alternative
 and conformal decomposition: eps fails at X iff a signed circuit inside
 X's closed set conforms to it), its interior point is a sum of oriented
 rays of the flats one codim down, and both are exact integer work.  A
-strict LP runs only at a flat with a circuit table over CIRCUIT_BOUND
-below it.
+strict LP runs only at an over-populated flat whose circuit table would
+cost more than CIRCUIT_BOUND.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import comb
 
 from .arrangement import (
     CHAMBER_GUARD,
@@ -29,6 +30,7 @@ from .arrangement import (
     SignVector,
     _bit_indices,
     _circuits_below,
+    _signed_circuits,
     _eval,
     _pivot_rows,
     chamber_sign_vectors,
@@ -37,7 +39,7 @@ from .arrangement import (
 from .errors import GuardExceeded, VerificationError
 from .fields import Q, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, _minors, _ring_primitive, _ring_scalars, kernel_basis, rref
+from .linalg import Mat, _ring_kernel, _ring_primitive, _ring_scalars, kernel_basis, rref
 
 __all__ = [
     "SigmaReport",
@@ -67,11 +69,17 @@ class SigmaReport:
         return self.verdict == "member"
 
 
-def _cache(a: CentralArrangement) -> dict:
-    c = getattr(a, "_consistency_cache", None)
+# An over-populated flat of n labels at codim q is decided by circuits iff
+# its table's minors and (q+1)-subsets, sum over k <= q + 1 of C(n, k),
+# number at most this.
+CIRCUIT_BOUND = 2**15
+
+
+def _cache(a: CentralArrangement, name="_consistency_cache") -> dict:
+    c = getattr(a, name, None)
     if c is None:
         c = {}
-        a._consistency_cache = c
+        setattr(a, name, c)
     return c
 
 
@@ -84,40 +92,36 @@ def _lift(dim, pivots, y):
 
 
 def _conforming(tables, pos):
-    """(lattice index, support, agrees) of the first circuit of the tables
-    that conforms to the sign vector with positive-label mask pos, or None.
-
-    agrees tells whether the sign vector has the circuit's signs on its
-    support, or their negatives.
-    """
-    for i, table in tables:
-        it = iter(table)
-        for supp, cpos in zip(it, it):
-            t = (pos ^ cpos) & supp
-            if t == 0 or t == supp:
-                return i, supp, t == 0
+    """(lattice index, support) of the first circuit of the tables that
+    conforms to the sign vector with positive-label mask pos, or None."""
+    for i, supp, cpos in _signed_circuits(tables):
+        t = (pos ^ cpos) & supp
+        if t == 0 or t == supp:
+            return i, supp
     return None
 
 
-def _circuit_certificate(a, eps, i, supp, agrees):
+def _circuit_certificate(a, eps, i, supp):
     """The Gordan certificate of the circuit with support supp spanning the
     lattice flat i, to which eps conforms.
 
-    With the scaled rows d_j a_j and Cramer's c_j, sum c_j d_j a_j = 0, so
-    lambda_j = +-eps_j c_j d_j > 0, the sign + iff eps agrees with c.
+    The kernel vector c of the scaled rows d_j a_j in the flat's pivot
+    coordinates has sum c_j d_j a_j = 0, so lambda_j = +-eps_j c_j d_j,
+    one sign for all j, is positive.
     """
     f = a.full_lattice()[i]
     ring = a._ring
     idx = _bit_indices(supp)
     scaled = a._scaled_rows()
-    minors = _minors(_pivot_rows(a, f, idx), f.codim, ring)
-    full = (1 << len(idx)) - 1
-    tau = 1 if agrees else -1
+    rows = _pivot_rows(a, f, idx)
+    c = _ring_kernel([[row[k] for row in rows] for k in range(f.codim)], ring)
     labels = [a.labels[k] for k in idx]
-    coeffs = []
-    for j, (k, l) in enumerate(zip(idx, labels)):
-        scale = tau * (-1) ** j * eps.sign_of(l) * scaled[k][0]
-        coeffs.append(ring.mul(minors[full ^ (1 << j)], ring.of_int(scale)))
+    coeffs = [
+        ring.mul(v, ring.of_int(eps.sign_of(l) * scaled[k][0]))
+        for v, k, l in zip(c, idx, labels)
+    ]
+    if ring.sign(coeffs[0]) < 0:
+        coeffs = [ring.sub(ring.zero, v) for v in coeffs]
     cert = GordanCertificate(tuple(labels), tuple(_ring_scalars(coeffs, a._rt5)))
     if not cert.verify(a, eps):
         raise VerificationError(f"circuit certificate fails at {labels}")
@@ -128,17 +132,15 @@ def _rays(a, x, idx):
     """(support, positive mask, ray) for each codim-(q-1) flat Y below x,
     flattened into one tuple, q + 2 entries each.
 
-    The ray spans Y modulo x, in x's pivot coordinates: the generalized
-    cross product ray_k = (-1)^k det(T without column k) of q - 1
-    independent scaled rows T, orthogonal to exactly the rows of Y.  The
-    subsets T are met in lexicographic order and each Y keeps the first;
-    support holds x's labels off Y and the positive mask those whose rows
-    have a positive product with the ray.
+    The ray spans Y modulo x, in x's pivot coordinates: the kernel vector
+    of q - 1 independent scaled rows T, orthogonal to exactly the rows of
+    Y, made primitive.  The subsets T are met in lexicographic order and
+    each Y keeps the first; support holds x's labels off Y and the positive
+    mask those whose rows have a positive product with the ray.
     """
     q = x.codim
     ring = a._ring
     xrows = dict(zip(idx, _pivot_rows(a, x, idx)))
-    full = (1 << q) - 1
     out = []
     for t in combinations(idx, q - 1):
         tmask = 0
@@ -146,12 +148,10 @@ def _rays(a, x, idx):
             tmask |= 1 << j
         if any(tmask & supp == 0 for supp in out[:: q + 2]):
             continue  # t lies in a flat met already
-        minors = _minors([[xrows[j][k] for j in t] for k in range(q)], q - 1, ring)
-        ray = [minors[full ^ (1 << k)] for k in range(q)]
-        ray = [ring.sub(ring.zero, v) if k % 2 else v for k, v in enumerate(ray)]
-        ray = _ring_primitive(ray, a._rt5)
-        if all(v == ring.zero for v in ray):
+        ray = _ring_kernel([xrows[j] for j in t], ring)
+        if ray is None:
             continue  # t is dependent
+        ray = _ring_primitive(ray, a._rt5)
         supp = pos = 0
         for j in idx:
             g = ring.sign(ring.dot(xrows[j], ray))
@@ -173,11 +173,12 @@ def _cocircuit_point(a, x, mask, pos):
     interior.  It is checked by substitution into every scaled row.
     """
     idx = _bit_indices(mask)
-    rays = a._ray_tables.get(mask)
+    kept = _cache(a, "_ray_tables")
+    rays = kept.get(mask)
     if rays is None:
         rays = _rays(a, x, idx)
         if len(idx) > x.codim:
-            a._ray_tables[mask] = rays
+            kept[mask] = rays
     ring = a._ring
     q = x.codim
     total = [ring.zero] * q
@@ -209,14 +210,18 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
       conforming circuit, and its certificate, are deterministic.  When the
       closed set numbers codim its normals are independent: no circuit.
     - Without one, the sum of the oriented rays of the codim-(q-1) flats
-      below x is an interior point.
-    - Only when one of those tables has C(|closed set|, codim + 1) over
-      CIRCUIT_BOUND does x solve a strict LP.
+      below x is an interior point.  Each ray is one fraction-free kernel
+      vector, so a flat whose closed set numbers its codim q costs q of
+      them and no table.
+    - Only an over-populated x of n labels with sum over k <= q + 1 of
+      C(n, k) over CIRCUIT_BOUND solves a strict LP instead.  That cost
+      grows with n and q, so no flat below x costs more.
 
-    Certificates and points are verified by substitution.  Three tables
+    Certificates and points are verified by substitution.  Four tables
     are kept on the arrangement, each with a bound: one circuit table per
-    over-populated flat, at most CIRCUIT_BOUND pairs of label masks; one
-    ray table per over-populated flat met, at most one ray per
+    over-populated flat decided by circuits, at most CIRCUIT_BOUND pairs
+    of label masks; one list per such flat met of the tables below it,
+    sharing them; one ray table per such flat met, at most one ray per
     codim-(q-1) flat of the lattice below it; and the results, one per flat
     and local sign pattern met, so at most sum over flats of 2^|closed set|.
     """
@@ -234,11 +239,15 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
 def _decide(a, eps, x, labels, signs):
     """consistent_at's answer on a cache miss."""
     mask = a.label_mask(labels)
-    # the labels of a flat with |closed set| = codim, and so of every flat
-    # below it, are independent: no circuit
-    tables = [] if len(labels) == x.codim else _circuits_below(a, mask, x.codim)
-    if tables is None:
+    q = x.codim
+    if len(labels) == q:
+        # the labels of such a flat, and so of every flat below it, are
+        # independent: no circuit
+        tables = []
+    elif sum(comb(len(labels), k) for k in range(q + 2)) > CIRCUIT_BOUND:
         return _lp_decide(a, x, labels, signs)
+    else:
+        tables = _circuits_below(a, mask, q)
     pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
     hit = _conforming(tables, pos)
     if hit is not None:

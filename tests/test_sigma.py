@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import boolean, small_arrangements
-from msarr import arrangement, feasibility
+from msarr import feasibility, sigma
 from msarr.errors import GuardExceeded
 from msarr.fields import Q, sign
 from msarr.linalg import Mat, rank
@@ -287,9 +287,9 @@ def test_circuit_verdicts_match_lp_on_random_arrangements(rt5, data):
 
 
 @pytest.mark.parametrize("name", ["moment52", "h3-sub"])
-def test_over_bound_flats_take_the_lp_paths(name, monkeypatch):
-    """With CIRCUIT_BOUND 0 every over-populated flat is over it: chambers
-    and membership then come from strict LPs, and agree with the circuits."""
+def test_over_bound_flats_take_the_lp_path(name, monkeypatch):
+    """With CIRCUIT_BOUND 0 every over-populated flat is over it: membership
+    then comes from strict LPs, and agrees with the circuits."""
     if name == "moment52":
         a = independent_case(name, None)
     else:
@@ -298,15 +298,40 @@ def test_over_bound_flats_take_the_lp_paths(name, monkeypatch):
     copy = CentralArrangement.from_json(a.to_json())
     probes = probe_sign_vectors(a, random.Random(16), count=2)
     expected = [in_sigma_p(a, eps, p).failing_flat for eps in probes for p in range(2, a.rank() + 1)]
-    chambers = chamber_sign_vectors(a)
-    monkeypatch.setattr(arrangement, "CIRCUIT_BOUND", 0)
-    solved = feasibility.lp_count()
-    assert chamber_sign_vectors(copy) == chambers
-    assert feasibility.lp_count() > solved
+    monkeypatch.setattr(sigma, "CIRCUIT_BOUND", 0)
     solved = feasibility.lp_count()
     got = [in_sigma_p(copy, eps, p).failing_flat for eps in probes for p in range(2, a.rank() + 1)]
     assert got == expected
     assert feasibility.lp_count() > solved
+
+
+def test_high_codim_flats_cost_polynomial_work():
+    """An independent flat of codim 20 takes 20 kernel vectors and no LP;
+    a codim-15 flat of 16 labels, whose table would expand 2^16 minors and
+    subsets, solves one LP.  A minors expansion would take minutes here."""
+    rng = random.Random(17)
+    while True:
+        normals = [[rng.randint(-2, 2) for _ in range(20)] for _ in range(20)]
+        if rank(Mat(normals)) == 20:
+            break
+    a = CentralArrangement(20, [(f"h{i}", v) for i, v in enumerate(normals)])
+    x = a.flat_of(a.labels)
+    assert x.codim == len(x.closed_set) == 20
+    solved = feasibility.lp_count()
+    for eps in probe_sign_vectors(a, rng, count=2):
+        ok, point = consistent_at(a, eps, x)
+        assert ok and realizes(a, eps, a.labels, point)
+    assert feasibility.lp_count() == solved
+    units = [[int(i == j) for j in range(15)] for i in range(15)]
+    b = CentralArrangement(15, [(f"e{i}", u) for i, u in enumerate(units)] + [("s", [1] * 15)])
+    top = b.flat_of(b.labels)
+    for signs in ((1,) * 16, (1,) * 15 + (-1,)):
+        eps = SignVector(b.labels, signs)
+        solved = feasibility.lp_count()
+        ok, payload = consistent_at(b, eps, top)
+        assert feasibility.lp_count() == solved + 1
+        assert ok == oracles.lp_realizes(b, eps, b.labels) == (signs[-1] > 0)
+        assert realizes(b, eps, b.labels, payload) if ok else payload.verify(b, eps)
 
 
 def test_membership_matches_naive_oracle_on_moment52():
