@@ -9,7 +9,8 @@ an independent oracle, and minimal circuits with their dependency
 coefficients.  Beside the lattice each arrangement keeps every closed set
 as an integer label mask, for subset tests by bit operations, and, from
 first use, the signed circuits spanning each over-populated flat as pairs
-of label masks, which the chamber DFS and sigma's consistency test scan.
+of label masks, which the circuit DFS (chambers, and sigma's Sigma_p) and
+sigma's consistency test scan.
 
 Every lattice decision runs on integers: each normal gets one canonical
 integral form at construction (a primitive integer vector over Q, a pair
@@ -98,8 +99,13 @@ class SignVector:
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
 
+    @cached_property
+    def _index(self) -> dict:
+        """label -> position in labels, built on the first sign_of."""
+        return {l: i for i, l in enumerate(self.labels)}
+
     def sign_of(self, label) -> int:
-        return self.signs[self.labels.index(label)]
+        return self.signs[self._index[label]]
 
     def as_dict(self):
         return dict(zip(self.labels, self.signs))
@@ -199,7 +205,7 @@ class CentralArrangement:
         self._scaled = None
         self._populated = None  # (index, mask, codim) of over-populated flats
         self._circuit_tables = {}  # lattice index -> circuit table
-        self._below = {}  # label mask -> circuit tables of the flats in it
+        self._below = {}  # (label mask, codim) -> circuit tables of the flats in it
 
     def _reject_parallel(self):
         seen = {}
@@ -467,13 +473,13 @@ def _circuits_below(a, mask, codim):
 
     Every signed circuit inside a flat's closed set spans exactly one such
     flat below it, so for the mask and codim of a flat these tables list
-    each of its circuits once.  Kept per mask; the tables themselves are
-    shared between masks.  A table of n labels at codim q costs the
+    each of its circuits once.  Kept per (mask, codim); the tables
+    themselves are shared between masks.  A table of n labels at codim q costs the
     sum over k <= q + 1 of C(n, k) minors and subsets, which grows with n
     and q, so no table below a flat costs more than the flat's own.
     """
-    if mask in a._below:
-        return a._below[mask]
+    if (mask, codim) in a._below:
+        return a._below[mask, codim]
     if a._populated is None:
         a._populated = [
             (i, m, f.codim)
@@ -490,7 +496,7 @@ def _circuits_below(a, mask, codim):
             a._circuit_tables[i] = _circuit_table(a, i)
         if a._circuit_tables[i]:
             out.append((i, a._circuit_tables[i]))
-    a._below[mask] = out
+    a._below[mask, codim] = out
     return out
 
 
@@ -503,39 +509,52 @@ def _signed_circuits(tables):
             yield i, supp, pos
 
 
-def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
-    """Sign vectors realized by complement points, by pruned DFS.
-
-    A sign prefix on the first i labels is realized iff no signed circuit
-    among those labels conforms to it (Gordan's alternative and conformal
-    decomposition), so step i checks only the circuits whose highest label
-    is i, and every realized prefix extends: the DFS never dead-ends and
-    needs no witness point.  The circuit tables are those of every
-    over-populated flat, so CHAMBER_GUARD bounds them with the chambers.
-    The set is kept on the arrangement, write-once like its lattice.
-    """
+def _conformal_masks(a: CentralArrangement, codim: int) -> list:
+    """Positive-label masks of the sign vectors no signed circuit of an
+    over-populated flat of codim at most codim conforms to, in
+    product((1, -1)) order: a DFS over the labels, + before -, checks at
+    label i the circuits whose highest label is i.  At codim rank no
+    prefix dead-ends; below it one can."""
     n = a.n_hyperplanes
-    if n > CHAMBER_GUARD:
-        raise GuardExceeded(
-            f"{n} hyperplanes exceeds the chamber enumeration guard ({CHAMBER_GUARD})"
-        )
-    if a._chambers is not None:
-        return a._chambers
     ending = [[] for _ in range(n)]
-    for _, supp, pos in _signed_circuits(_circuits_below(a, (1 << n) - 1, a.rank())):
+    for _, supp, pos in _signed_circuits(_circuits_below(a, (1 << n) - 1, codim)):
         ending[supp.bit_length() - 1].append((supp, pos))
     out = []
 
     def descend(i, pos):
         if i == n:
-            out.append(SignVector(a.labels, tuple(1 if pos >> j & 1 else -1 for j in range(n))))
+            out.append(pos)
             return
         for p in (pos | 1 << i, pos):
             if all((p ^ c) & s not in (0, s) for s, c in ending[i]):
                 descend(i + 1, p)
 
     descend(0, 0)
-    a._chambers = frozenset(out)
+    return out
+
+
+def _sign_vector(a: CentralArrangement, pos: int) -> SignVector:
+    """The sign vector over a's labels with positive-label mask pos."""
+    return SignVector(a.labels, tuple(1 if pos >> j & 1 else -1 for j in range(a.n_hyperplanes)))
+
+
+def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
+    """Sign vectors realized by complement points, by pruned DFS.
+
+    A sign vector is realized iff no signed circuit conforms to it
+    (Gordan's alternative and conformal decomposition), and every realized
+    prefix extends, so the DFS never dead-ends and needs no witness point.
+    The circuit tables are those of every over-populated flat, so
+    CHAMBER_GUARD bounds them with the chambers.  The set is kept on the
+    arrangement, write-once like its lattice.
+    """
+    n = a.n_hyperplanes
+    if n > CHAMBER_GUARD:
+        raise GuardExceeded(
+            f"{n} hyperplanes exceeds the chamber enumeration guard ({CHAMBER_GUARD})"
+        )
+    if a._chambers is None:
+        a._chambers = frozenset(_sign_vector(a, pos) for pos in _conformal_masks(a, a.rank()))
     return a._chambers
 
 

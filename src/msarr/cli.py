@@ -169,7 +169,7 @@ def sigma(arr_path, eps, p, out):
 @click.option("--max-hyperplanes", type=int, default=22)
 @click.option("--out", default=None)
 def sigma_scan(arr_path, p, max_hyperplanes, out):
-    """Exhaustive |Sigma_p| / |Sigma_{p+1}| counts and jump witnesses."""
+    """Complete |Sigma_p| / |Sigma_{p+1}| counts and jump witnesses."""
 
     def go():
         t0 = _clock()
@@ -199,7 +199,7 @@ def sigma_scan(arr_path, p, max_hyperplanes, out):
 @click.option("--moment", default="0,1,2,3,4", help="moment-curve parameters")
 @click.option("--out", default=None)
 def verify_clean_52(moment, out):
-    """Exhaustive cleanliness scan of B(5,2) plus circuit orbit classes."""
+    """Complete cleanliness scan of B(5,2) plus circuit orbit classes."""
 
     def go():
         t0 = _clock()

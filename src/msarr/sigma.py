@@ -5,14 +5,20 @@ every flat of codimension at most p.  Membership checks reduce soundly to
 flats of codimension exactly min(p, rank): consistency at a flat implies
 consistency at every flat below it, and every lower flat extends upward
 while codim < rank.  Non-membership always carries a positive relation
-certificate; membership carries interior points.
+certificate; membership carries interior points when they are asked for.
 
 A flat is decided by signed circuits on label masks (Gordan's alternative
 and conformal decomposition: eps fails at X iff a signed circuit inside
-X's closed set conforms to it), its interior point is a sum of oriented
-rays of the flats one codim down, and both are exact integer work.  A
-strict LP runs only at an over-populated flat whose circuit table would
-cost more than CIRCUIT_BOUND.
+X's closed set conforms to it), and both the verdict and its certificate
+are exact integer work.  An interior point, a sum of oriented rays of the
+flats one codim down, is built only when a caller reads it.  A strict LP
+runs only at an over-populated flat whose circuit table would cost more
+than CIRCUIT_BOUND.
+
+The circuits inside codim-q closed sets, q = min(p, rank), are those of
+the over-populated flats of codim at most q, so a DFS over the labels
+cutting each prefix one of them conforms to lists Sigma_p whole, and
+find_jump certifies Sigma_p = Sigma_{p+1} by counting both.
 """
 
 from __future__ import annotations
@@ -30,11 +36,14 @@ from .arrangement import (
     SignVector,
     _bit_indices,
     _circuits_below,
-    _signed_circuits,
+    _conformal_masks,
     _eval,
+    _sign_vector,
+    _signed_circuits,
     _pivot_rows,
     chamber_sign_vectors,
     essentialize,
+    zaslavsky_chambers,
 )
 from .errors import GuardExceeded, VerificationError
 from .fields import Q, sign
@@ -217,42 +226,51 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
       C(n, k) over CIRCUIT_BOUND solves a strict LP instead.  That cost
       grows with n and q, so no flat below x costs more.
 
+    A point is built on the first read that returns it (this function,
+    or in_sigma_p with audit), never by an unaudited in_sigma_p.
     Certificates and points are verified by substitution.  Four tables
     are kept on the arrangement, each with a bound: one circuit table per
     over-populated flat decided by circuits, at most CIRCUIT_BOUND pairs
-    of label masks; one list per such flat met of the tables below it,
-    sharing them; one ray table per such flat met, at most one ray per
-    codim-(q-1) flat of the lattice below it; and the results, one per flat
-    and local sign pattern met, so at most sum over flats of 2^|closed set|.
+    of label masks; one list per (mask, codim) met of the tables below
+    it, sharing them; one ray table per such flat whose point was read,
+    at most one ray per codim-(q-1) flat of the lattice below it; and the
+    results, one per flat and local sign pattern met, so at most sum over
+    flats of 2^|closed set|.
     """
+    return _consistent(a, eps, x, audit=True)
+
+
+def _consistent(a, eps, x, audit):
+    """consistent_at's answer; a member's point is None unless audit."""
     labels = sorted(x.closed_set)
     if not labels:
         return True, tuple(Q(0) for _ in range(a.dim))
     signs = tuple(eps.sign_of(l) for l in labels)
     cache = _cache(a)
     key = (x.closed_set, signs)
-    if key not in cache:
-        cache[key] = _decide(a, eps, x, labels, signs)
-    return cache[key]
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _decide(a, eps, x, labels, signs)
+    if audit and hit[1] is None:
+        pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
+        hit = cache[key] = (True, _cocircuit_point(a, x, a.label_mask(labels), pos))
+    return hit
 
 
 def _decide(a, eps, x, labels, signs):
-    """consistent_at's answer on a cache miss."""
-    mask = a.label_mask(labels)
+    """(False, certificate), or (True, None) for a member, on a cache miss."""
     q = x.codim
     if len(labels) == q:
         # the labels of such a flat, and so of every flat below it, are
         # independent: no circuit
-        tables = []
-    elif sum(comb(len(labels), k) for k in range(q + 2)) > CIRCUIT_BOUND:
+        return True, None
+    if sum(comb(len(labels), k) for k in range(q + 2)) > CIRCUIT_BOUND:
         return _lp_decide(a, x, labels, signs)
-    else:
-        tables = _circuits_below(a, mask, q)
     pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
-    hit = _conforming(tables, pos)
+    hit = _conforming(_circuits_below(a, a.label_mask(labels), q), pos)
     if hit is not None:
         return False, _circuit_certificate(a, eps, *hit)
-    return True, _cocircuit_point(a, x, mask, pos)
+    return True, None
 
 
 def _lp_decide(a, x, labels, signs):
@@ -269,7 +287,8 @@ def _lp_decide(a, x, labels, signs):
 
 
 def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = False) -> SigmaReport:
-    """Membership of eps in Sigma_p, with certificate on failure."""
+    """Membership of eps in Sigma_p, with certificate on failure and, when
+    audit, the interior point of each flat met on success."""
     if p < 1:
         raise ValueError("p must be at least 1")
     q = min(p, a.rank())
@@ -277,28 +296,24 @@ def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = Fal
     for f in a.full_lattice():
         if f.codim != q:
             continue
-        ok, payload = consistent_at(a, eps, f)
+        ok, payload = consistent_at(a, eps, f) if audit else _consistent(a, eps, f, False)
         if not ok:
-            return SigmaReport(eps, p, "non-member", f, payload,
-                               witness if audit else {})
+            return SigmaReport(eps, p, "non-member", f, payload, witness)
         if audit:
             witness[f] = payload
-    return SigmaReport(eps, p, "member", None, None, witness if audit else {})
+    return SigmaReport(eps, p, "member", None, None, witness)
 
 
 def sigma_set(a: CentralArrangement, p: int):
-    """Exhaustive Sigma_p over all 2^|A| sign vectors."""
+    """Sigma_p as a set of sign vectors, listed by circuit DFS."""
     n = a.n_hyperplanes
     if n > CHAMBER_GUARD:
         raise GuardExceeded(
             f"{n} hyperplanes exceeds the enumeration guard ({CHAMBER_GUARD})"
         )
-    out = set()
-    for signs in product((1, -1), repeat=n):
-        eps = SignVector(a.labels, signs)
-        if in_sigma_p(a, eps, p).member:
-            out.add(eps)
-    return out
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    return {_sign_vector(a, pos) for pos in _conformal_masks(a, min(p, a.rank()))}
 
 
 def walls(a: CentralArrangement, chamber: SignVector):
@@ -451,23 +466,27 @@ def _jump_candidates_at(a: CentralArrangement, x: Flat):
 def find_jump(a: CentralArrangement, p: int):
     """A sign vector in Sigma_p minus Sigma_{p+1}, or None when equal.
 
-    Candidates built from flipped simple chambers of localizations at
-    codim-(p+1) flats are tried first; each is fully verified before being
-    returned.  The completeness fallback is exhaustive enumeration, only
-    available under the size guard.
+    Sigma_{p+1} lies in Sigma_p, so up to EXHAUSTIVE_GUARD hyperplanes
+    equal counts (Zaslavsky's at p + 1 = rank) certify None.  Otherwise,
+    up to CHAMBER_GUARD, flipped simple chambers of localizations at
+    codim-(p+1) flats are tried first, then the members of Sigma_p in
+    product((1, -1)) order; each witness is certified by in_sigma_p at
+    p + 1.  Beyond EXHAUSTIVE_GUARD a search without a hit raises
+    GuardExceeded.
     """
     rk = a.rank()
     if not 2 <= p < rk:
         raise ValueError("need 2 <= p < rank")
     n = a.n_hyperplanes
+    if n <= EXHAUSTIVE_GUARD:
+        members = _conformal_masks(a, p)
+        above = zaslavsky_chambers(a) if p + 1 == rk else len(_conformal_masks(a, p + 1))
+        if len(members) == above:
+            return None
 
-    def report_if_jump(eps):
-        if not in_sigma_p(a, eps, p).member:
-            return None
+    def jump_at(eps):
         rep = in_sigma_p(a, eps, p + 1)
-        if rep.member:
-            return None
-        return eps, rep.failing_flat, rep.certificate
+        return None if rep.member else (eps, rep.failing_flat, rep.certificate)
 
     if n <= CHAMBER_GUARD:
         for x in a.full_lattice():
@@ -475,7 +494,7 @@ def find_jump(a: CentralArrangement, p: int):
             if x.codim != p + 1 or len(x.closed_set) < p + 2:
                 continue
             for eps in _jump_candidates_at(a, x):
-                hit = report_if_jump(eps)
+                hit = in_sigma_p(a, eps, p).member and jump_at(eps)
                 if hit:
                     return hit
     if n > EXHAUSTIVE_GUARD:
@@ -483,11 +502,11 @@ def find_jump(a: CentralArrangement, p: int):
             f"cannot certify Sigma_{p} = Sigma_{p + 1} beyond "
             f"{EXHAUSTIVE_GUARD} hyperplanes ({n} given)"
         )
-    for signs in product((1, -1), repeat=n):
-        hit = report_if_jump(SignVector(a.labels, signs))
+    for pos in members:
+        hit = jump_at(_sign_vector(a, pos))
         if hit:
             return hit
-    return None
+    raise VerificationError(f"|Sigma_{p}| = {len(members)} > {above} = |Sigma_{p + 1}| with no jump")
 
 
 def direct_sum(a1: CentralArrangement, a2: CentralArrangement) -> CentralArrangement:
@@ -502,7 +521,7 @@ def direct_sum(a1: CentralArrangement, a2: CentralArrangement) -> CentralArrange
 def sigma_product_check(a1: CentralArrangement, a2: CentralArrangement, p: int) -> bool:
     """Verify Sigma_p(A1 + A2) = Sigma_min(p,l1)(A1) x Sigma_min(p,l2)(A2)."""
     if a1.n_hyperplanes + a2.n_hyperplanes > CHAMBER_GUARD:
-        raise GuardExceeded("sum too large for exhaustive product check")
+        raise GuardExceeded("sum too large for the product check")
     total = sigma_set(direct_sum(a1, a2), p)
     s1 = sigma_set(a1, min(p, a1.dim) if a1.dim else 1)
     s2 = sigma_set(a2, min(p, a2.dim) if a2.dim else 1)

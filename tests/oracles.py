@@ -179,6 +179,30 @@ def naive_sigma_set(arrangement, p):
     return out
 
 
+def exhaustive_sigma_set(arrangement, p):
+    """Sigma_p by in_sigma_p on each of the 2^|A| sign vectors."""
+    out = set()
+    for signs in product((1, -1), repeat=arrangement.n_hyperplanes):
+        eps = SignVector(arrangement.labels, signs)
+        if in_sigma_p(arrangement, eps, p).member:
+            out.add(eps)
+    return out
+
+
+def exhaustive_find_jump(arrangement, p):
+    """The first sign vector in product((1, -1)) order that lies in Sigma_p
+    but not in Sigma_{p+1}, with the failing flat and certificate of
+    in_sigma_p at p + 1; None when Sigma_p = Sigma_{p+1}."""
+    for signs in product((1, -1), repeat=arrangement.n_hyperplanes):
+        eps = SignVector(arrangement.labels, signs)
+        if not in_sigma_p(arrangement, eps, p).member:
+            continue
+        rep = in_sigma_p(arrangement, eps, p + 1)
+        if not rep.member:
+            return eps, rep.failing_flat, rep.certificate
+    return None
+
+
 def mixed_feasibility(eq_rows, geq_rows, normalization):
     """Point with eq.x = 0, geq.x >= 0 and geq[pin].x = value, or None.
 

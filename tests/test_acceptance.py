@@ -231,7 +231,7 @@ def test_criterion_9_product_and_localization(br3, boolean2, a52):
 
 
 def test_criterion_10_pipelines_and_guards(a52, ms63_very_generic, jump63, witness62):
-    ok = find_jump(a52, 2) is None  # (5,2,2): clean, certified exhaustively
+    ok = find_jump(a52, 2) is None  # (5,2,2): clean, certified by |Sigma_2| = |Sigma_3|
     ok = ok and jump63 is not None  # (6,3,2)
     w, m62 = witness62
     try:

@@ -24,8 +24,10 @@ from msarr import (
     localization,
     essentialize,
     chamber_sign_vectors,
+    find_jump,
     named_base,
     perturb_to_very_generic,
+    random_very_generic,
     zaslavsky_chambers,
     circuits,
     witness_rank_r,
@@ -404,6 +406,25 @@ def test_chamber_guard_fires():
         chamber_sign_vectors(big)
 
 
+@pytest.mark.parametrize("order", [(3, 2), (2, 3)], ids=["top-first", "top-last"])
+def test_circuits_below_is_kept_per_mask_and_codim(order):
+    """The full mask lists the tables of codim <= 2 or <= 3 whichever was
+    asked first; reading the top level first (as the chamber DFS does)
+    once made a later codim-2 read return the codim-3 tables, so find_jump
+    counted Sigma_3 as Sigma_2 and missed the very generic B(6,3) jump."""
+    fresh = lambda: random_very_generic(6, 3, seed=1).arrangement
+    a = fresh()
+    full = (1 << a.n_hyperplanes) - 1
+    assert a.rank() == 3
+    expected = {c: msarr.arrangement._circuits_below(fresh(), full, c) for c in order}
+    assert len(expected[2]) < len(expected[3])
+    for c in order:
+        got = msarr.arrangement._circuits_below(a, full, c)
+        assert got == expected[c]
+        assert all(a.full_lattice()[i].codim <= c for i, _ in got)
+    assert find_jump(a, 2)[0].to_string() == "+-+++---++--+-+"
+
+
 # -- circuits ----------------------------------------------------------------
 
 
@@ -451,6 +472,15 @@ def test_sign_vector_string_roundtrip(br3):
         SignVector.from_string(br3.labels, "+-")
     with pytest.raises(KeyError):
         sv.flip(["nope"])
+
+
+def test_sign_vector_compares_on_labels_and_signs():
+    read = SignVector(("b", "a", "c"), (1, -1, -1))
+    assert [read.sign_of(l) for l in "abc"] == [-1, 1, -1]
+    fresh = SignVector(("b", "a", "c"), (1, -1, -1))
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh) == "SignVector(labels=('b', 'a', 'c'), signs=(1, -1, -1))"
+    assert read != SignVector(("b", "a", "c"), (1, 1, -1))
 
 
 def test_certificate_verifies_cyclic(br3):

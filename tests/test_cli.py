@@ -1,10 +1,15 @@
 """Command-line pipelines, exit codes and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import msarr
 from msarr import feasibility
 from msarr.cli import REFERENCE_ORBITS, main, orbit_canonical
 from msarr.feasibility import strict_feasibility
@@ -111,6 +116,18 @@ def test_sigma_scan_guard_exit_code(runner, arr52):
     )
     assert r.exit_code == 3
     assert "guard exceeded" in r.output
+
+
+def test_module_entry_point_runs_the_cli(arr52):
+    """python -m msarr runs the CLI from a checkout, with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(msarr.__file__).resolve().parents[1]))
+    r = subprocess.run(
+        [sys.executable, "-m", "msarr", "sigma-scan", "--arrangement", arr52, "--p", "2"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["sigma_p"] == rep["sigma_p1"] == 62
 
 
 # -- cleanliness verification --------------------------------------------------------

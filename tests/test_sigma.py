@@ -26,9 +26,12 @@ from msarr import (
     find_jump,
     in_sigma_p,
     is_simple_chamber,
+    jump_after_perturbation,
     localization,
     moment_curve_base,
     named_base,
+    perturb_to_very_generic,
+    random_very_generic,
     sigma_product_check,
     sigma_set,
     walls,
@@ -476,6 +479,121 @@ def test_find_jump_level_validation(br3):
         find_jump(br3, 1)
     with pytest.raises(ValueError):
         find_jump(br3, 2)  # rank 2: no level satisfies 2 <= p < rank
+
+
+# -- the circuit DFS against exhaustive scans -----------------------------------------
+
+
+def dfs_case(name):
+    """A fresh arrangement (cold caches) for the DFS pins."""
+    if name == "br3":
+        return CentralArrangement(3, [("xy", [1, -1, 0]), ("xz", [1, 0, -1]), ("yz", [0, 1, -1])])
+    if name == "boolean3":
+        return boolean(3)
+    if name.startswith("vg63-"):
+        return random_very_generic(6, 3, seed=int(name[5:])).arrangement
+    if name == "braid5":  # B(5,1): the braid arrangement, rank 4
+        return build_ms([[1, 2, 3, 5, 8]]).arrangement
+    if name == "generic4":  # 6 hyperplanes on the moment curve, rank 4
+        return CentralArrangement(4, [(f"t{t}", [1, t, t * t, t**3]) for t in range(6)])
+    if name == "rank4":  # 8 hyperplanes, jumps at p = 2 and 3
+        normals = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                   [1, 1, 1, 1], [1, 2, 3, 4], [1, -1, 2, -3], [2, 1, -1, 3]]
+        return CentralArrangement(4, [(f"h{i}", v) for i, v in enumerate(normals)])
+    return independent_case(name, None)
+
+
+LARGE = ("vg63-1", "falk", "h3")  # 15 hyperplanes each, rank 3; h3 over Q(sqrt5)
+DFS_LEVELS = [(n, p) for n in ("br3", "boolean3", "moment52") for p in (1, 2, 3, 4)]
+DFS_LEVELS += [(n, p) for n in ("braid5", "generic4", "rank4") for p in (1, 2, 3, 4, 5)]
+DFS_LEVELS += [(n, p) for n in LARGE for p in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,p", DFS_LEVELS)
+def test_sigma_set_matches_exhaustive_scan(name, p):
+    a = dfs_case(name)
+    got = sigma_set(a, p)
+    if name in LARGE and p >= a.rank():
+        # the scan would build a certificate for each of the 2^15 - |Sigma_3|
+        # non-members at the top flat (45 s over Q(sqrt5)); Sigma_rank is the
+        # chamber set, so Zaslavsky's count and a point of each member,
+        # checked by substitution, pin it
+        assert len(got) == zaslavsky_chambers(a)
+        for eps in got:
+            (point,) = in_sigma_p(a, eps, p, audit=True).witness_points.values()
+            assert realizes(a, eps, a.labels, point)
+    else:
+        assert got == oracles.exhaustive_sigma_set(dfs_case(name), p)
+
+
+@pytest.mark.parametrize("name", ["boolean3", "moment52", "braid5", *LARGE])
+def test_find_jump_matches_exhaustive_scan(name):
+    a = dfs_case(name)
+    for p in range(2, a.rank()):
+        assert find_jump(a, p) == oracles.exhaustive_find_jump(dfs_case(name), p)
+
+
+@pytest.mark.parametrize("name", ["vg63-1", "vg63-3", "generic4", "rank4"])
+def test_find_jump_without_candidates_returns_the_scan_witness(name, monkeypatch):
+    """With no candidate the witness is the first member of Sigma_p in
+    product order outside Sigma_{p+1}.  On vg63-3, generic4 and rank4 the
+    candidates find other witnesses, each certified at p + 1.  generic4
+    has Sigma_2 = Sigma_3 = all 64 sign vectors and 52 chambers."""
+    levels = range(2, dfs_case(name).rank())
+    expected = [oracles.exhaustive_find_jump(dfs_case(name), p) for p in levels]
+    a = dfs_case(name)
+    for p, want in zip(levels, expected):
+        got = find_jump(a, p)
+        assert (got is None) == (want is None)
+        if got is not None:
+            eps, flat, cert = got
+            assert in_sigma_p(a, eps, p).member
+            assert flat == in_sigma_p(a, eps, p + 1).failing_flat and flat.codim == p + 1
+            assert cert.verify(a, eps)
+    monkeypatch.setattr(sigma, "_jump_candidates_at", lambda a, x: iter(()))
+    assert [find_jump(dfs_case(name), p) for p in levels] == expected
+
+
+def test_sigma_counts_are_higher_bruhat_sizes():
+    """|Sigma_2| of a moment-curve B(n, 2) is the size of the higher Bruhat
+    order B(n, 2): 62 for n = 5 and 908 for n = 6.  The top level is the
+    chamber set, counted by Zaslavsky."""
+    for params, size in (([0, 1, 2, 3, 4], 62), ([0, 1, 2, 3, 4, 5], 908)):
+        a = build_ms(moment_curve_base(params)).arrangement
+        assert len(sigma_set(a, 2)) == size
+        assert len(sigma_set(a, a.rank())) == zaslavsky_chambers(a)
+
+
+def test_unaudited_reads_build_no_point(w62, monkeypatch):
+    """in_sigma_p without audit, find_jump and jump_after_perturbation
+    decide by circuits alone; the first audited read builds the points,
+    verified and equal to those of a cold arrangement, and later reads
+    reuse them."""
+    built = []
+    real = sigma._cocircuit_point
+    monkeypatch.setattr(sigma, "_cocircuit_point", lambda *args: built.append(1) or real(*args))
+    m, _ = perturb_to_very_generic(w62, seed=0)
+    jump_after_perturbation(m, w62, seed=0)
+    assert not built and not getattr(m.arrangement, "_ray_tables", {})
+    a = dfs_case("moment52")
+    probes = probe_sign_vectors(a, random.Random(18))
+    levels = range(2, a.rank() + 1)
+    plain = [in_sigma_p(a, eps, p) for eps in probes for p in levels]
+    assert find_jump(a, 2) is None
+    assert not built and not getattr(a, "_ray_tables", {})
+    assert all(not rep.witness_points for rep in plain)
+    cold = dfs_case("moment52")
+    for eps in probes:
+        for p in levels:
+            rep = in_sigma_p(a, eps, p, audit=True)
+            assert rep.witness_points == in_sigma_p(cold, eps, p, audit=True).witness_points
+            for f, point in rep.witness_points.items():
+                assert realizes(a, eps, f.closed_set, point)
+    assert built and a._ray_tables
+    built.clear()
+    for eps in probes:
+        in_sigma_p(a, eps, a.rank(), audit=True)
+    assert not built  # kept from the first audited read
 
 
 # -- products ----------------------------------------------------------------------
