@@ -22,7 +22,7 @@ from math import prod
 from .arrangement import SignVector, _eval
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, sign
-from .linalg import Mat, _cleared, det, kernel_basis, rank, solve
+from .linalg import Mat, _cleared, _ring_row, det, kernel_basis, rank, solve
 from .msbuild import (
     GenericArrangement,
     MSArrangement,
@@ -331,18 +331,17 @@ def _vertex_points(a, split, x0):
     return out
 
 
-def _pattern_point(verts, tau):
-    """sum_j w_j v_j, w_j = 1 where tau_j = sigma_j, else -1/r.
+def _pattern_values(a, verts):
+    """Per label l, the products a_l . v_j over the vertex points, scaled
+    by one positive integer into ring entries.
 
-    Since a_j . x = w_j (a_j . v_j), x has sign tau on the split labels.
+    The point sum_j w_j v_j, w_j = 1 where tau_j = sigma_j, else -1/r,
+    has sign tau on the split labels, since a_j . x = w_j (a_j . v_j).
     Unless tau = -sigma the weights sum to at least 1/r, so x lies near a
-    positive multiple of x0.
+    positive multiple of x0.  r (a_l . x) = sum_j c_j (a_l . v_j) with
+    c_j = r or -1, so these entries give the sign of a_l . x exactly.
     """
-    point = [Q(0)] * len(verts[0][0])
-    for (v, sg), t in zip(verts, tau):
-        w = Q(1) if sg == t else Q(-1, len(verts))
-        point = [x + w * y for x, y in zip(point, v)]
-    return point
+    return {l: _ring_row([_eval(a.normal(l), v) for v, _ in verts], a._rt5)[1] for l in a.labels}
 
 
 def jump_after_perturbation(
@@ -357,13 +356,17 @@ def jump_after_perturbation(
     no chamber when the simple chamber exists: that vector is the flipped
     chamber, and it lies one level down in the filtration.
 
-    A pattern is a chamber once the point from _pattern_point, built on the
-    vertex points of x0, realizes its whole sign vector by substitution.
-    Every other pattern is decided by in_sigma_p at level rank, the
-    chamber test, whose report on the one bad pattern carries the failing
-    flat and certificate.  Returns (sign vector, failing flat, certificate).
+    A pattern is a chamber once the point built on the vertex points of
+    x0 (see _pattern_values) realizes its whole sign vector, each a_l . x
+    computed exactly by linearity.  Every other pattern is decided by
+    in_sigma_p at level rank, the chamber test, whose report on the one
+    bad pattern carries the failing flat and certificate.  Its membership
+    one level down is read with audit, so it is returned only with a
+    point, verified by substitution, at every flat of that codim.
+    Returns (sign vector, failing flat, certificate).
     """
     a = m.arrangement
+    ring = a._ring
     p = a.rank() - 1
     split = set(w.family_labels())
     others = [l for l in a.labels if l not in split]
@@ -379,13 +382,15 @@ def jump_after_perturbation(
             continue
         x0, delta = drawn
         verts = _vertex_points(a, split_order, x0)
+        if verts is not None:
+            values = _pattern_values(a, verts)
         bad = []
         for tau in product((1, -1), repeat=len(split_order)):
             assign = dict(delta)
             assign.update(zip(split_order, tau))
             if verts is not None:
-                x = _pattern_point(verts, tau)
-                if all(sign(_eval(a.normal(l), x)) == s for l, s in assign.items()):
+                c = [ring.of_int(len(verts) if sg == t else -1) for (_, sg), t in zip(verts, tau)]
+                if all(ring.sign(ring.dot(values[l], c)) == s for l, s in assign.items()):
                     continue
             eps = SignVector(a.labels, tuple(assign[l] for l in a.labels))
             rep = in_sigma_p(a, eps, a.rank())
@@ -393,7 +398,7 @@ def jump_after_perturbation(
                 bad.append(rep)
             if len(bad) > 1:
                 break
-        if len(bad) != 1 or not in_sigma_p(a, bad[0].sign_vector, p).member:
+        if len(bad) != 1 or not in_sigma_p(a, bad[0].sign_vector, p, audit=True).member:
             continue
         rep = bad[0]
         return rep.sign_vector, rep.failing_flat, rep.certificate

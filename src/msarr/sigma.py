@@ -227,7 +227,8 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
       grows with n and q, so no flat below x costs more.
 
     A point is built on the first read that returns it (this function,
-    or in_sigma_p with audit), never by an unaudited in_sigma_p.
+    or in_sigma_p with audit), never by an unaudited in_sigma_p; find_jump
+    and jump_after_perturbation audit only the witness they return.
     Certificates and points are verified by substitution.  Four tables
     are kept on the arrangement, each with a bound: one circuit table per
     over-populated flat decided by circuits, at most CIRCUIT_BOUND pairs
@@ -296,7 +297,7 @@ def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = Fal
     for f in a.full_lattice():
         if f.codim != q:
             continue
-        ok, payload = consistent_at(a, eps, f) if audit else _consistent(a, eps, f, False)
+        ok, payload = _consistent(a, eps, f, audit)
         if not ok:
             return SigmaReport(eps, p, "non-member", f, payload, witness)
         if audit:
@@ -463,16 +464,28 @@ def _jump_candidates_at(a: CentralArrangement, x: Flat):
             return
 
 
+def _certified_jump(a: CentralArrangement, eps: SignVector, p: int):
+    """(eps, failing flat, certificate) for a jump eps in Sigma_p minus
+    Sigma_{p+1}.  Membership at p is read with audit, so the witness has
+    a point verified by substitution at every codim-p flat; a member
+    verdict without one, or a member at p + 1, raises VerificationError."""
+    rep = in_sigma_p(a, eps, p + 1)
+    if rep.member or not in_sigma_p(a, eps, p, audit=True).member:
+        raise VerificationError(f"{eps.to_string()} is no jump from Sigma_{p}")
+    return eps, rep.failing_flat, rep.certificate
+
+
 def find_jump(a: CentralArrangement, p: int):
     """A sign vector in Sigma_p minus Sigma_{p+1}, or None when equal.
 
-    Sigma_{p+1} lies in Sigma_p, so up to EXHAUSTIVE_GUARD hyperplanes
-    equal counts (Zaslavsky's at p + 1 = rank) certify None.  Otherwise,
-    up to CHAMBER_GUARD, flipped simple chambers of localizations at
-    codim-(p+1) flats are tried first, then the members of Sigma_p in
-    product((1, -1)) order; each witness is certified by in_sigma_p at
-    p + 1.  Beyond EXHAUSTIVE_GUARD a search without a hit raises
-    GuardExceeded.
+    Up to EXHAUSTIVE_GUARD hyperplanes the circuit DFS lists Sigma_p in
+    product((1, -1)) order.  Sigma_{p+1} lies in Sigma_p, so equal counts
+    certify None (Zaslavsky's count at p + 1 = rank); otherwise the first
+    member outside the DFS's Sigma_{p+1} is the witness.  With up to
+    CHAMBER_GUARD hyperplanes only flipped simple chambers of
+    localizations at codim-(p+1) flats are tried, and a search without a
+    hit raises GuardExceeded.  Each witness is certified by in_sigma_p:
+    a certificate at p + 1 and audited points at p.
     """
     rk = a.rank()
     if not 2 <= p < rk:
@@ -480,33 +493,29 @@ def find_jump(a: CentralArrangement, p: int):
     n = a.n_hyperplanes
     if n <= EXHAUSTIVE_GUARD:
         members = _conformal_masks(a, p)
-        above = zaslavsky_chambers(a) if p + 1 == rk else len(_conformal_masks(a, p + 1))
-        if len(members) == above:
+        if p + 1 == rk and len(members) == zaslavsky_chambers(a):
             return None
-
-    def jump_at(eps):
-        rep = in_sigma_p(a, eps, p + 1)
-        return None if rep.member else (eps, rep.failing_flat, rep.certificate)
-
+        above = set(_conformal_masks(a, p + 1))
+        pos = next((m for m in members if m not in above), None)
+        if pos is not None:
+            return _certified_jump(a, _sign_vector(a, pos), p)
+        if p + 1 == rk:
+            raise VerificationError(
+                f"|Sigma_{p}| = {len(members)} differs from Zaslavsky's count with no jump"
+            )
+        return None
     if n <= CHAMBER_GUARD:
         for x in a.full_lattice():
             # a localization cannot be inconsistent unless over-populated
             if x.codim != p + 1 or len(x.closed_set) < p + 2:
                 continue
             for eps in _jump_candidates_at(a, x):
-                hit = in_sigma_p(a, eps, p).member and jump_at(eps)
-                if hit:
-                    return hit
-    if n > EXHAUSTIVE_GUARD:
-        raise GuardExceeded(
-            f"cannot certify Sigma_{p} = Sigma_{p + 1} beyond "
-            f"{EXHAUSTIVE_GUARD} hyperplanes ({n} given)"
-        )
-    for pos in members:
-        hit = jump_at(_sign_vector(a, pos))
-        if hit:
-            return hit
-    raise VerificationError(f"|Sigma_{p}| = {len(members)} > {above} = |Sigma_{p + 1}| with no jump")
+                if in_sigma_p(a, eps, p).member and not in_sigma_p(a, eps, p + 1).member:
+                    return _certified_jump(a, eps, p)
+    raise GuardExceeded(
+        f"cannot certify Sigma_{p} = Sigma_{p + 1} beyond "
+        f"{EXHAUSTIVE_GUARD} hyperplanes ({n} given)"
+    )
 
 
 def direct_sum(a1: CentralArrangement, a2: CentralArrangement) -> CentralArrangement:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import boolean, small_arrangements
 from msarr import feasibility, sigma
-from msarr.errors import GuardExceeded
+from msarr.errors import GuardExceeded, VerificationError
 from msarr.fields import Q, sign
 from msarr.linalg import Mat, rank
 from msarr.sigma import _simple_chambers
@@ -470,7 +470,7 @@ def test_jump_found_in_very_generic_63(ms63_very_generic):
     assert not in_sigma_p(a, eps, 3).member
     assert cert.verify(a, eps)
     assert flat.codim == 3
-    # the candidate order decides the witness; this one is pinned
+    # the first member of Sigma_2 in product order outside Sigma_3; pinned
     assert eps.to_string() == "+-+++---++--+-+"
 
 
@@ -526,32 +526,50 @@ def test_sigma_set_matches_exhaustive_scan(name, p):
         assert got == oracles.exhaustive_sigma_set(dfs_case(name), p)
 
 
-@pytest.mark.parametrize("name", ["boolean3", "moment52", "braid5", *LARGE])
+@pytest.mark.parametrize(
+    "name", ["boolean3", "moment52", "braid5", *LARGE, "vg63-3", "generic4", "rank4"]
+)
 def test_find_jump_matches_exhaustive_scan(name):
+    """The witness is the first member of Sigma_p in product order outside
+    Sigma_{p+1}.  generic4 has Sigma_2 = Sigma_3 = all 64 sign vectors
+    and 52 chambers."""
     a = dfs_case(name)
     for p in range(2, a.rank()):
         assert find_jump(a, p) == oracles.exhaustive_find_jump(dfs_case(name), p)
 
 
-@pytest.mark.parametrize("name", ["vg63-1", "vg63-3", "generic4", "rank4"])
-def test_find_jump_without_candidates_returns_the_scan_witness(name, monkeypatch):
-    """With no candidate the witness is the first member of Sigma_p in
-    product order outside Sigma_{p+1}.  On vg63-3, generic4 and rank4 the
-    candidates find other witnesses, each certified at p + 1.  generic4
-    has Sigma_2 = Sigma_3 = all 64 sign vectors and 52 chambers."""
-    levels = range(2, dfs_case(name).rank())
-    expected = [oracles.exhaustive_find_jump(dfs_case(name), p) for p in levels]
-    a = dfs_case(name)
-    for p, want in zip(levels, expected):
-        got = find_jump(a, p)
-        assert (got is None) == (want is None)
-        if got is not None:
-            eps, flat, cert = got
-            assert in_sigma_p(a, eps, p).member
-            assert flat == in_sigma_p(a, eps, p + 1).failing_flat and flat.codim == p + 1
-            assert cert.verify(a, eps)
-    monkeypatch.setattr(sigma, "_jump_candidates_at", lambda a, x: iter(()))
-    assert [find_jump(dfs_case(name), p) for p in levels] == expected
+def test_returned_jumps_carry_audited_points(w62, monkeypatch):
+    """find_jump and jump_after_perturbation read the membership of the
+    witness they return one level down with audit: a point at each flat
+    of that codim, verified by substitution and kept.  A member verdict
+    whose point fails substitution raises."""
+    built = []
+    real = sigma._cocircuit_point
+    monkeypatch.setattr(sigma, "_cocircuit_point", lambda *args: built.append(1) or real(*args))
+    a = dfs_case("vg63-1")
+    eps, _, _ = find_jump(a, 2)
+    assert len(built) == sum(1 for f in a.full_lattice() if f.codim == 2)
+    m, _ = perturb_to_very_generic(w62, seed=0)
+    b = m.arrangement
+    del built[:]
+    found = jump_after_perturbation(m, w62, seed=0)[0]
+    assert built
+    del built[:]
+    for arr, e, p in ((a, eps, 2), (b, found, b.rank() - 1)):
+        rep = in_sigma_p(arr, e, p, audit=True)
+        assert rep.member and not built  # kept from the witness's audit
+        for f, point in rep.witness_points.items():
+            assert realizes(arr, e, f.closed_set, point)
+
+    def broken(*args):
+        raise VerificationError("ray sum misses a sign")
+
+    monkeypatch.setattr(sigma, "_cocircuit_point", broken)
+    with pytest.raises(VerificationError):
+        find_jump(dfs_case("vg63-1"), 2)
+    m, _ = perturb_to_very_generic(w62, seed=0)
+    with pytest.raises(VerificationError):
+        jump_after_perturbation(m, w62, seed=0)
 
 
 def test_sigma_counts_are_higher_bruhat_sizes():
@@ -564,17 +582,14 @@ def test_sigma_counts_are_higher_bruhat_sizes():
         assert len(sigma_set(a, a.rank())) == zaslavsky_chambers(a)
 
 
-def test_unaudited_reads_build_no_point(w62, monkeypatch):
-    """in_sigma_p without audit, find_jump and jump_after_perturbation
-    decide by circuits alone; the first audited read builds the points,
-    verified and equal to those of a cold arrangement, and later reads
-    reuse them."""
+def test_unaudited_reads_build_no_point(monkeypatch):
+    """in_sigma_p without audit, and find_jump when it certifies
+    equality, decide by circuits alone; the first audited read builds the
+    points, verified and equal to those of a cold arrangement, and later
+    reads reuse them."""
     built = []
     real = sigma._cocircuit_point
     monkeypatch.setattr(sigma, "_cocircuit_point", lambda *args: built.append(1) or real(*args))
-    m, _ = perturb_to_very_generic(w62, seed=0)
-    jump_after_perturbation(m, w62, seed=0)
-    assert not built and not getattr(m.arrangement, "_ray_tables", {})
     a = dfs_case("moment52")
     probes = probe_sign_vectors(a, random.Random(18))
     levels = range(2, a.rank() + 1)
