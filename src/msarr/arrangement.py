@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
 from .errors import GuardExceeded
 from .fields import Q, Qrt5, as_scalar, format_scalar, parse_scalar
@@ -36,7 +37,6 @@ from .linalg import (
     _cut,
     _integral,
     _integral_ops,
-    _minors,
     _ring_row,
     kernel_basis,
     rank,
@@ -149,14 +149,22 @@ class GordanCertificate:
             raise ValueError("certificate coefficients must be positive")
 
     def verify(self, arrangement: "CentralArrangement", eps: SignVector) -> bool:
-        dim = arrangement.dim
-        total = [Q(0)] * dim
-        for lab, lam in zip(self.support, self.coefficients):
-            nv = arrangement.normal(lab)
-            s = eps.sign_of(lab)
-            for j in range(dim):
-                total[j] = total[j] + lam * s * nv[j]
-        return all(v == 0 for v in total)
+        """sum lambda_H e_H a_H = 0 on every coordinate, in ring entries.
+
+        lambda becomes (D, D*lambda) and each normal (d_H, d_H*a_H) by
+        positive scales; with L the lcm of the d_H, the sum of
+        (D lambda_H) e_H (L / d_H) (d_H a_H) is D L times the relation.
+        """
+        rt5 = arrangement._rt5 or any(isinstance(c, Qrt5) and c.b for c in self.coefficients)
+        ring = _RING_RT5 if rt5 else _RING_Q
+        lam = _ring_row(self.coefficients, rt5)[1]
+        rows = [_ring_row(arrangement.normal(l), rt5) for l in self.support]
+        scale = lcm(*(d for d, _ in rows))
+        terms = [
+            ring.mul(v, ring.of_int(eps.sign_of(l) * (scale // d)))
+            for l, v, (d, _) in zip(self.support, lam, rows)
+        ]
+        return all(ring.dot(terms, col) == ring.zero for col in zip(*(r for _, r in rows)))
 
     def to_json(self):
         return {
@@ -204,7 +212,7 @@ class CentralArrangement:
         self._chambers = None
         self._scaled = None
         self._populated = None  # (index, mask, codim) of over-populated flats
-        self._circuit_tables = {}  # lattice index -> circuit table
+        self._circuit_tables = {}  # lattice index -> _CircuitTable
         self._below = {}  # (label mask, codim) -> circuit tables of the flats in it
 
     def _reject_parallel(self):
@@ -433,38 +441,94 @@ def _pivot_rows(a, x, idx):
     return [[rows[j][1][c] for c in x.pivots] for j in idx]
 
 
-def _circuit_table(a, i):
-    """The signed circuits spanning the over-populated flat i of the lattice.
+class _CircuitTable:
+    """The signed circuits spanning one over-populated flat of the lattice,
+    built as far as they are read.
 
     A circuit is a (q+1)-subset S of the closed set, q the codim, whose
     q-subsets are all independent.  By Cramer's rule its dependency is
     c_j = (-1)^j det(S - s_j), taken on the scaled rows in the flat's pivot
-    coordinates; a positive row scale keeps every sign.  Each q-minor's sign
-    is computed once, and the table keeps only (support mask, positive mask)
-    per circuit, flattened into one tuple, supports in lexicographic order.
+    coordinates; a positive row scale keeps every sign.  pairs holds
+    (support mask, positive mask) per circuit, flattened, supports in
+    lexicographic order.  Iterating yields them as pairs and extends the
+    table only up to the last pair taken, so a scan that stops at its first
+    conforming circuit builds the table up to that circuit.  Each q-minor
+    is computed once, on first need; while the table is partial a memo of
+    at most sum over k <= q of C(n, k) minors and signs, n labels, lives
+    with it.  A complete table is a tuple and keeps neither memo nor rows.
     """
+
+    __slots__ = ("pairs", "_more")
+
+    def __init__(self, a, i):
+        self.pairs = []
+        self._more = _circuit_pairs(a, i)
+
+    def __iter__(self):
+        if self._more is None:
+            it = iter(self.pairs)
+            return zip(it, it)
+        return self._extend(self.pairs, self._more)
+
+    def _extend(self, pairs, more):
+        # A pair is stored before it is yielded, and every stored pair is
+        # yielded before the next is computed, so neither a reader that
+        # stops nor another reader in between loses one; the empty pairs
+        # yield what was stored before this reader started and after the
+        # last pair was computed.
+        k = 0
+        for pair in chain([()], more, [()]):
+            pairs.extend(pair)
+            while k < len(pairs):
+                yield pairs[k], pairs[k + 1]
+                k += 2
+        self.pairs, self._more = tuple(pairs), None
+
+
+def _circuit_pairs(a, i):
+    """(support mask, positive mask) of each circuit of _CircuitTable, in
+    order.  A k-minor on the first k columns expands along its last column
+    into (k-1)-minors, so every minor is a sum of ring products; the
+    q-minors keep only their signs."""
     f = a.full_lattice()[i]
+    q = f.codim
     idx = _bit_indices(a.lattice_masks()[i])
-    sign_of = a._ring.sign
-    minors = _minors(_pivot_rows(a, f, idx), f.codim, a._ring)
-    signs = {m: sign_of(v) for m, v in minors.items()}
-    del minors
-    out = []
-    for subset in combinations(range(len(idx)), f.codim + 1):
+    rows = _pivot_rows(a, f, idx)
+    ring = a._ring
+    mul_, add_, sub_, sign_of = ring.mul, ring.add, ring.sub, ring.sign
+    minors = {0: ring.of_int(1)}  # k-rows mask -> minor, k < q
+    signs = {}  # q-rows mask -> sign of its minor
+
+    def expand(mask, rows_in):
+        # rows_in: the rows of mask, ascending
+        col = len(rows_in) - 1
+        total = ring.zero
+        for j, s in enumerate(rows_in):
+            rest = mask ^ (1 << s)
+            m = minors.get(rest)
+            if m is None:
+                m = minors[rest] = expand(rest, rows_in[:j] + rows_in[j + 1 :])
+            t = mul_(rows[s][col], m)
+            total = sub_(total, t) if (j + col) % 2 else add_(total, t)
+        return total
+
+    for subset in combinations(range(len(idx)), q + 1):
         local = 0
         for s in subset:
             local |= 1 << s
         supp = pos = 0
         for j, s in enumerate(subset):
-            g = signs[local ^ (1 << s)]
+            rest = local ^ (1 << s)
+            g = signs.get(rest)
+            if g is None:
+                g = signs[rest] = sign_of(expand(rest, subset[:j] + subset[j + 1 :]))
             if not g:
                 break
             supp |= 1 << idx[s]
             if (g > 0) == (j % 2 == 0):
                 pos |= 1 << idx[s]
         else:
-            out += (supp, pos)
-    return tuple(out)
+            yield supp, pos
 
 
 def _circuits_below(a, mask, codim):
@@ -473,8 +537,9 @@ def _circuits_below(a, mask, codim):
 
     Every signed circuit inside a flat's closed set spans exactly one such
     flat below it, so for the mask and codim of a flat these tables list
-    each of its circuits once.  Kept per (mask, codim); the tables
-    themselves are shared between masks.  A table of n labels at codim q costs the
+    each of its circuits once.  A table may turn out empty; that shows only
+    once it is read.  Kept per (mask, codim); the tables themselves are
+    shared between masks.  A whole table of n labels at codim q costs the
     sum over k <= q + 1 of C(n, k) minors and subsets, which grows with n
     and q, so no table below a flat costs more than the flat's own.
     """
@@ -493,19 +558,18 @@ def _circuits_below(a, mask, codim):
         if m & mask != m:
             continue
         if i not in a._circuit_tables:
-            a._circuit_tables[i] = _circuit_table(a, i)
-        if a._circuit_tables[i]:
-            out.append((i, a._circuit_tables[i]))
+            a._circuit_tables[i] = _CircuitTable(a, i)
+        out.append((i, a._circuit_tables[i]))
     a._below[mask, codim] = out
     return out
 
 
 def _signed_circuits(tables):
     """(lattice index, support mask, positive mask) of each circuit of the
-    tables from _circuits_below, in their order."""
+    tables from _circuits_below, in their order, extending each table only
+    as far as the caller reads."""
     for i, table in tables:
-        it = iter(table)
-        for supp, pos in zip(it, it):
+        for supp, pos in table:
             yield i, supp, pos
 
 

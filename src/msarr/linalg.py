@@ -11,9 +11,9 @@ integer vectors (A, B) with the vector proportional to A + B*sqrt5, and
 a flat's integer kernel basis becomes a cover's by one fraction-free step.
 The private ring helpers serve the circuit tables: a normal scaled by its
 least common denominator has int entries over Q and (a, b) pairs for
-a + b*sqrt5 over Q(sqrt5); every q-minor of a set of such rows comes
-from one expansion pass with ring products alone, and the kernel vector of
-m independent rows of length m + 1 from one fraction-free elimination.
+a + b*sqrt5 over Q(sqrt5), whose minors are sums of ring products, and
+the kernel vector of m independent rows of length m + 1 comes from one
+fraction-free elimination.
 Both read the ``numerator``/``denominator`` fields of the rationals
 directly, so gmpy2's mpq should work as well as Fraction, but that backend
 has not been tested with them.
@@ -22,7 +22,6 @@ has not been tested with them.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
 from math import gcd, lcm
 from operator import add, floordiv, mul, sub
 
@@ -369,30 +368,6 @@ def _ring_scalars(values, rt5):
     if rt5:
         return [Qrt5(a, b) for a, b in values]
     return [Q(v) for v in values]
-
-
-def _minors(rows, q, ring):
-    """det of the rows S, in order, on their first q columns, for every
-    q-subset S of the rows, keyed by the mask of S's row indices.
-
-    A k-minor expands along its last column into (k-1)-minors, so each
-    minor on the first k columns is computed once, by ring products alone.
-    """
-    mul_, add_, sub_ = ring.mul, ring.add, ring.sub
-    prev = {0: ring.of_int(1)}
-    for col in range(q):
-        cur = {}
-        for subset in combinations(range(len(rows)), col + 1):
-            mask = 0
-            for s in subset:
-                mask |= 1 << s
-            total = ring.zero
-            for j, s in enumerate(subset):
-                t = mul_(rows[s][col], prev[mask ^ (1 << s)])
-                total = sub_(total, t) if (j + col) % 2 else add_(total, t)
-            cur[mask] = total
-        prev = cur
-    return prev
 
 
 def _ring_kernel(rows, ring):

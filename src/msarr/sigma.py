@@ -102,7 +102,8 @@ def _lift(dim, pivots, y):
 
 def _conforming(tables, pos):
     """(lattice index, support) of the first circuit of the tables that
-    conforms to the sign vector with positive-label mask pos, or None."""
+    conforms to the sign vector with positive-label mask pos, or None.
+    The tables are built only up to that circuit; None reads them whole."""
     for i, supp, cpos in _signed_circuits(tables):
         t = (pos ^ cpos) & supp
         if t == 0 or t == supp:
@@ -231,10 +232,13 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     and jump_after_perturbation audit only the witness they return.
     Certificates and points are verified by substitution.  Four tables
     are kept on the arrangement, each with a bound: one circuit table per
-    over-populated flat decided by circuits, at most CIRCUIT_BOUND pairs
-    of label masks; one list per (mask, codim) met of the tables below
-    it, sharing them; one ray table per such flat whose point was read,
-    at most one ray per codim-(q-1) flat of the lattice below it; and the
+    over-populated flat decided by circuits, built up to the first
+    circuit a read finds conforming and whole only once a read finds
+    none, at most CIRCUIT_BOUND pairs of label masks, with a memo of at
+    most sum over k <= q of C(n, k) minors, n labels, only while it is
+    partial; one list per (mask, codim) met of the tables below it,
+    sharing them; one ray table per such flat whose point was read, at
+    most one ray per codim-(q-1) flat of the lattice below it; and the
     results, one per flat and local sign pattern met, so at most sum over
     flats of 2^|closed set|.
     """

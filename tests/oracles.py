@@ -8,7 +8,7 @@ import random
 from collections import namedtuple
 from itertools import combinations, permutations, product
 
-from msarr.arrangement import SignVector
+from msarr.arrangement import SignVector, _bit_indices, _pivot_rows
 from msarr.errors import RetryExhausted
 from msarr.feasibility import _phase1, strict_feasibility
 from msarr.fields import Q, as_scalar, sign
@@ -512,3 +512,77 @@ def lp_jump_after_perturbation(m, w, seed=0, tries=40):
             raise AssertionError("infeasible sign vector reported consistent")
         return eps, rep.failing_flat, rep.certificate
     raise RetryExhausted(f"no simple-chamber jump found near the old flat after {tries} tries")
+
+
+def minors(rows, q, ring):
+    """det of the rows S, in order, on their first q columns, for every
+    q-subset S of the rows, keyed by the mask of S's row indices.
+
+    A k-minor expands along its last column into (k-1)-minors, so each
+    minor on the first k columns is computed once, by ring products alone.
+    """
+    mul_, add_, sub_ = ring.mul, ring.add, ring.sub
+    prev = {0: ring.of_int(1)}
+    for col in range(q):
+        cur = {}
+        for subset in combinations(range(len(rows)), col + 1):
+            mask = 0
+            for s in subset:
+                mask |= 1 << s
+            total = ring.zero
+            for j, s in enumerate(subset):
+                t = mul_(rows[s][col], prev[mask ^ (1 << s)])
+                total = sub_(total, t) if (j + col) % 2 else add_(total, t)
+            cur[mask] = total
+        prev = cur
+    return prev
+
+
+def circuit_table(a, i):
+    """The signed circuits spanning the over-populated flat i of the
+    lattice, built whole: every q-minor first, then every (q+1)-subset of
+    the closed set in lexicographic order, a circuit when no q-minor of it
+    vanishes, signed by Cramer's rule.  (support mask, positive mask) per
+    circuit, flattened into one tuple."""
+    f = a.full_lattice()[i]
+    idx = _bit_indices(a.lattice_masks()[i])
+    sign_of = a._ring.sign
+    signs = {m: sign_of(v) for m, v in minors(_pivot_rows(a, f, idx), f.codim, a._ring).items()}
+    out = []
+    for subset in combinations(range(len(idx)), f.codim + 1):
+        local = 0
+        for s in subset:
+            local |= 1 << s
+        supp = pos = 0
+        for j, s in enumerate(subset):
+            g = signs[local ^ (1 << s)]
+            if not g:
+                break
+            supp |= 1 << idx[s]
+            if (g > 0) == (j % 2 == 0):
+                pos |= 1 << idx[s]
+        else:
+            out += (supp, pos)
+    return tuple(out)
+
+
+class EagerCircuitTable:
+    """circuit_table in place of the library's lazy table: built whole on
+    construction, iterated as (support, positive) pairs."""
+
+    def __init__(self, a, i):
+        self.pairs = circuit_table(a, i)
+
+    def __iter__(self):
+        it = iter(self.pairs)
+        return zip(it, it)
+
+
+def fraction_verify(cert, a, eps):
+    """sum lambda_H e_H a_H = 0 by substitution in field arithmetic."""
+    total = [Q(0)] * a.dim
+    for lab, lam in zip(cert.support, cert.coefficients):
+        nv = a.normal(lab)
+        s = eps.sign_of(lab)
+        total = [t + lam * s * v for t, v in zip(total, nv)]
+    return all(v == 0 for v in total)

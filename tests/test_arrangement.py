@@ -406,6 +406,12 @@ def test_chamber_guard_fires():
         chamber_sign_vectors(big)
 
 
+def read_tables(tables):
+    """(lattice index, circuit pairs) of each table that holds a circuit,
+    every table read whole."""
+    return [(i, pairs) for i, pairs in ((i, tuple(t)) for i, t in tables) if pairs]
+
+
 @pytest.mark.parametrize("order", [(3, 2), (2, 3)], ids=["top-first", "top-last"])
 def test_circuits_below_is_kept_per_mask_and_codim(order):
     """The full mask lists the tables of codim <= 2 or <= 3 whichever was
@@ -416,13 +422,35 @@ def test_circuits_below_is_kept_per_mask_and_codim(order):
     a = fresh()
     full = (1 << a.n_hyperplanes) - 1
     assert a.rank() == 3
-    expected = {c: msarr.arrangement._circuits_below(fresh(), full, c) for c in order}
+    expected = {c: read_tables(msarr.arrangement._circuits_below(fresh(), full, c)) for c in order}
     assert len(expected[2]) < len(expected[3])
     for c in order:
         got = msarr.arrangement._circuits_below(a, full, c)
-        assert got == expected[c]
+        assert read_tables(got) == expected[c]
         assert all(a.full_lattice()[i].codim <= c for i, _ in got)
     assert find_jump(a, 2)[0].to_string() == "+-+++---++--+-+"
+
+
+def test_circuit_table_readers_interleave():
+    """Readers of one partial table, one abandoned and two interleaved,
+    each read the eager oracle's pairs in order; the table completes once."""
+    a = random_very_generic(6, 3, seed=1).arrangement
+    top = len(a.full_lattice()) - 1
+    table = msarr.arrangement._CircuitTable(a, top)
+    expected = oracles.circuit_table(a, top)
+    first = iter(table)
+    assert next(first) == expected[:2]
+    del first
+    r1, r2 = iter(table), iter(table)
+    got1 = [next(r1) for _ in range(3)]
+    got2 = [next(r2) for _ in range(5)]
+    got1 += [next(r1), next(r1)]
+    assert len(table.pairs) == 10
+    got2 += list(r2)
+    assert table._more is None and table.pairs == expected
+    got1 += list(r1)
+    for got in (got1, got2):
+        assert tuple(x for pair in got for x in pair) == expected
 
 
 # -- circuits ----------------------------------------------------------------

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import boolean, small_arrangements
-from msarr import feasibility, sigma
+from msarr import arrangement, feasibility, sigma
+from msarr.arrangement import GordanCertificate, _conformal_masks
 from msarr.errors import GuardExceeded, VerificationError
-from msarr.fields import Q, sign
+from msarr.fields import Q, Qrt5, sign
 from msarr.linalg import Mat, rank
 from msarr.sigma import _simple_chambers
 from msarr import (
@@ -35,6 +36,7 @@ from msarr import (
     sigma_product_check,
     sigma_set,
     walls,
+    witness_rank_r,
     zaslavsky_chambers,
 )
 
@@ -574,12 +576,116 @@ def test_returned_jumps_carry_audited_points(w62, monkeypatch):
 
 def test_sigma_counts_are_higher_bruhat_sizes():
     """|Sigma_2| of a moment-curve B(n, 2) is the size of the higher Bruhat
-    order B(n, 2): 62 for n = 5 and 908 for n = 6.  The top level is the
-    chamber set, counted by Zaslavsky."""
+    order B(n, 2) (OEIS A006245): 62 for n = 5, 908 for n = 6 and 24 698
+    for n = 7, whose 35 hyperplanes are past the enumeration guard, so the
+    circuit DFS counts it directly.  The top level is the chamber set,
+    counted by Zaslavsky."""
     for params, size in (([0, 1, 2, 3, 4], 62), ([0, 1, 2, 3, 4, 5], 908)):
         a = build_ms(moment_curve_base(params)).arrangement
         assert len(sigma_set(a, 2)) == size
         assert len(sigma_set(a, a.rank())) == zaslavsky_chambers(a)
+    a = build_ms(moment_curve_base(range(7))).arrangement
+    assert len(_conformal_masks(a, 2)) == 24698
+
+
+def table_case(name, ms62_perturbed):
+    """A fresh arrangement (cold tables) for the lazy-table pins."""
+    if name == "perturbed62":
+        return CentralArrangement.from_json(ms62_perturbed.arrangement.to_json())
+    if name == "w62":
+        return build_ms(witness_rank_r(6, 2, seed=0).witness_base).arrangement
+    return dfs_case(name)
+
+
+@pytest.mark.parametrize("order", ["partial-first", "dfs-first"])
+@pytest.mark.parametrize("name", ["moment52", "vg63-1", "perturbed62", "falk", "h3", "w62"])
+def test_lazy_circuit_tables_match_eager_oracle(name, order, ms62_perturbed, monkeypatch):
+    """Unaudited reads stop each non-member at its first conforming
+    circuit and leave the tables built that far, a prefix of the eager
+    oracle's; the chamber DFS reads them whole, after those reads or on
+    cold tables.  Then every over-populated flat's table equals the
+    oracle's and holds neither memo nor rows, and the reports, members
+    and non-members, and the DFS equal those on eager tables."""
+    a = table_case(name, ms62_perturbed)
+    rk = a.rank()
+    probes = probe_sign_vectors(a, random.Random(19))
+    queries = [(eps, p) for eps in probes for p in range(2, rk + 1)]
+    scout = table_case(name, ms62_perturbed)
+    outside = [(eps, p) for eps, p in queries if not in_sigma_p(scout, eps, p).member]
+    assert outside
+
+    def reads(arr):
+        return [in_sigma_p(arr, eps, p) for eps, p in outside + queries]
+
+    if order == "partial-first":
+        for eps, p in outside:
+            in_sigma_p(a, eps, p)
+        assert any(t._more is not None for t in a._circuit_tables.values())
+        for i, t in a._circuit_tables.items():
+            assert tuple(t.pairs) == oracles.circuit_table(a, i)[: len(t.pairs)]
+    masks = _conformal_masks(a, rk)
+    got = reads(a)
+    populated = [
+        i for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks())) if m.bit_count() > f.codim
+    ]
+    assert sorted(a._circuit_tables) == populated
+    for i in populated:
+        t = a._circuit_tables[i]
+        assert t._more is None and t.pairs == oracles.circuit_table(a, i)
+    monkeypatch.setattr(arrangement, "_CircuitTable", oracles.EagerCircuitTable)
+    eager = table_case(name, ms62_perturbed)
+    assert got == reads(eager)
+    assert masks == _conformal_masks(eager, rk)
+
+
+def test_jump_after_perturbation_builds_the_top_table_to_its_certificate(w62, monkeypatch):
+    """The jump's certificate is circuit 43 of the 3432 spanning the top
+    flat of the perturbed B(6,2), and the search reads the top table no
+    further; witness, flat and certificate equal those on eager tables."""
+    m, _ = perturb_to_very_generic(w62, seed=0)
+    got = jump_after_perturbation(m, w62, seed=0)
+    a = m.arrangement
+    top = len(a.full_lattice()) - 1
+    assert got[1] == a.full_lattice()[top]
+    table = a._circuit_tables[top]
+    assert table._more is not None and len(table.pairs) // 2 <= 43
+    assert len(oracles.circuit_table(a, top)) // 2 == 3432
+    monkeypatch.setattr(arrangement, "_CircuitTable", oracles.EagerCircuitTable)
+    m, _ = perturb_to_very_generic(w62, seed=0)
+    assert jump_after_perturbation(m, w62, seed=0) == got
+
+
+@pytest.mark.parametrize("name", ["moment52", "perturbed62", "h3"])
+def test_certificate_verify_matches_fraction_substitution(name, ms62_perturbed):
+    """verify on integers against field substitution, over Q (with the
+    perturbed 10^6 denominators) and Q(sqrt5): every non-member
+    certificate holds, as do its positive multiples, irrational ones over Q
+    too; changing one coefficient, giving one an irrational part, or
+    flipping a sign of eps breaks it."""
+    a = table_case(name, ms62_perturbed)
+    certs = []
+    for eps in probe_sign_vectors(a, random.Random(20)):
+        for p in range(2, a.rank() + 1):
+            rep = in_sigma_p(a, eps, p)
+            if not rep.member:
+                certs.append((eps, rep.certificate))
+    assert certs
+    scales = [Q(3, 7), Qrt5(Q(1), Q(1)), Qrt5(Q(2), Q(-1, 3))]
+    assert all(c > 0 for c in scales)
+    for eps, cert in certs:
+        lam = cert.coefficients
+        for c in scales:
+            good = GordanCertificate(cert.support, tuple(c * v for v in lam))
+            assert good.verify(a, eps) and oracles.fraction_verify(good, a, eps)
+        bad = [
+            GordanCertificate(cert.support, (lam[0] * 2,) + lam[1:]),
+            GordanCertificate(cert.support, lam[:-1] + (lam[-1] + Q(1, 10**6),)),
+            GordanCertificate(cert.support, (lam[0] + Qrt5(Q(0), Q(1)),) + lam[1:]),
+        ]
+        for c in bad:
+            assert not c.verify(a, eps) and not oracles.fraction_verify(c, a, eps)
+        flipped = eps.flip([cert.support[0]])
+        assert not cert.verify(a, flipped) and not oracles.fraction_verify(cert, a, flipped)
 
 
 def test_unaudited_reads_build_no_point(monkeypatch):
