@@ -1,10 +1,10 @@
 """Command-line front end for the arrangement workflows.
 
 Commands compose the library into the standard verification pipelines and
-emit JSON reports.  Exit codes: 0 success, 2 a mathematically asserted
-fact failed to verify, 3 a size guard was exceeded, 4 a randomized search
-exhausted its retries.  Reports are deterministic for a fixed seed except
-for the "timing" block.
+emit JSON reports.  Exit codes: 0 success, 2 a usage error (as click
+reports it) or a mathematically asserted fact that failed to verify, 3 a
+size guard was exceeded, 4 a randomized search exhausted its retries.
+Reports are deterministic for a fixed seed except for the "timing" block.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def build(example_name, base_path, out):
 @main.command()
 @click.option("--arrangement", "arr_path", required=True)
 @click.option("--eps", required=True, help="sign string, e.g. ++-+")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=click.IntRange(min=1), required=True)
 @click.option("--out", default=None)
 def sigma(arr_path, eps, p, out):
     """Filtration membership of one sign vector, with certificate."""
@@ -145,7 +145,10 @@ def sigma(arr_path, eps, p, out):
     def go():
         t0 = _clock()
         a = _load_arrangement(arr_path)
-        sv = SignVector.from_string(a.labels, eps)
+        try:
+            sv = SignVector.from_string(a.labels, eps)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="--eps")
         rep = in_sigma_p(a, sv, p)
         report = {
             "eps": sv.to_string(),
@@ -165,19 +168,14 @@ def sigma(arr_path, eps, p, out):
 
 @main.command("sigma-scan")
 @click.option("--arrangement", "arr_path", required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--max-hyperplanes", type=int, default=22)
+@click.option("--p", type=click.IntRange(min=1), required=True)
 @click.option("--out", default=None)
-def sigma_scan(arr_path, p, max_hyperplanes, out):
+def sigma_scan(arr_path, p, out):
     """Complete |Sigma_p| / |Sigma_{p+1}| counts and jump witnesses."""
 
     def go():
         t0 = _clock()
         a = _load_arrangement(arr_path)
-        if a.n_hyperplanes > max_hyperplanes:
-            raise GuardExceeded(
-                f"{a.n_hyperplanes} hyperplanes over the limit {max_hyperplanes}"
-            )
         upper = sigma_set(a, p)
         lower = sigma_set(a, p + 1)
         jumps = sorted(e.to_string() for e in upper - lower)

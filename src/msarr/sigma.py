@@ -17,15 +17,17 @@ than CIRCUIT_BOUND.
 
 The circuits inside codim-q closed sets, q = min(p, rank), are those of
 the over-populated flats of codim at most q, so a DFS over the labels
-cutting each prefix one of them conforms to lists Sigma_p whole, and
-find_jump certifies Sigma_p = Sigma_{p+1} by counting both.
+cutting each prefix one of them conforms to lists Sigma_p whole.  That
+DFS is find_jump's only search: it certifies Sigma_p = Sigma_{p+1} by
+counting both, or returns the first member of Sigma_p outside Sigma_{p+1},
+up to CHAMBER_GUARD hyperplanes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .arrangement import (
@@ -42,13 +44,12 @@ from .arrangement import (
     _signed_circuits,
     _pivot_rows,
     chamber_sign_vectors,
-    essentialize,
     zaslavsky_chambers,
 )
 from .errors import GuardExceeded, VerificationError
 from .fields import Q, sign
 from .feasibility import strict_feasibility
-from .linalg import Mat, _ring_kernel, _ring_primitive, _ring_scalars, kernel_basis, rref
+from .linalg import Mat, _ring_kernel, _ring_primitive, _ring_scalars, rref
 
 __all__ = [
     "SigmaReport",
@@ -344,54 +345,13 @@ def _wall_rays(a: CentralArrangement, w):
     return [[row[d + j] for row in inverse] for j in range(d)]
 
 
-def _simple_chambers_on(a: CentralArrangement, w, wall_signs):
-    """The simple chambers of the essential a with walls w, one per sign pattern.
-
-    For independent wall normals and signs e on w, the cone e_j a_j . x >= 0
-    (j in w) is spanned by the rays e_j r_j.  Its interior is a chamber whose
-    walls are exactly w, and its closure meets no other hyperplane off the
-    origin, iff every other hyperplane takes one strict sign on all those
-    rays; that sign is then the chamber's.
-    """
-    rays = _wall_rays(a, w)
-    if rays is None:
-        return
-    others = [l for l in a.labels if l not in w]
-    ray_signs = {
-        l: [sign(sum(c * v for c, v in zip(a.normal(l), r))) for r in rays]
-        for l in others
-    }
-    if any(0 in t for t in ray_signs.values()):
-        return
-    for e in wall_signs:
-        signs = dict(zip(w, e))
-        for l in others:
-            side = {ej * t for ej, t in zip(e, ray_signs[l])}
-            if len(side) != 1:
-                break
-            signs[l] = side.pop()
-        else:
-            yield SignVector(a.labels, tuple(signs[l] for l in a.labels))
-
-
-def _simple_chambers(a: CentralArrangement):
-    """(chamber, walls) for every simple chamber of the essential a.
-
-    A simple chamber has exactly dim walls, so rank-subsets of the labels
-    times sign patterns on them list each one exactly once.
-    """
-    d = a.dim
-    for w in combinations(a.labels, d):
-        for ch in _simple_chambers_on(a, w, product((1, -1), repeat=d)):
-            yield ch, w
-
-
 def is_simple_chamber(a: CentralArrangement, chamber: SignVector) -> bool:
     """Chamber closure is a simplicial cone meeting no other hyperplane.
 
     Requires an essential arrangement.  The walls must number rank with
     independent normals, and every non-wall hyperplane must take the
-    chamber's strict sign on every ray of the closed chamber.
+    chamber's strict sign on every ray of the closed chamber: for signs e
+    on the walls w the closed chamber is spanned by the rays e_j r_j.
     """
     rk = a.rank()
     if rk != a.dim:
@@ -399,8 +359,15 @@ def is_simple_chamber(a: CentralArrangement, chamber: SignVector) -> bool:
     w = sorted(walls(a, chamber))
     if len(w) != rk:
         return False
-    pattern = tuple(chamber.sign_of(l) for l in w)
-    return next(_simple_chambers_on(a, w, [pattern]), None) is not None
+    rays = _wall_rays(a, w)
+    if rays is None:
+        return False
+    e = [chamber.sign_of(l) for l in w]
+    return all(
+        {ej * sign(_eval(a.normal(l), r)) for ej, r in zip(e, rays)} == {chamber.sign_of(l)}
+        for l in a.labels
+        if l not in w
+    )
 
 
 def epsilon_C(a: CentralArrangement, simple_chamber: SignVector) -> SignVector:
@@ -408,10 +375,6 @@ def epsilon_C(a: CentralArrangement, simple_chamber: SignVector) -> SignVector:
     if not is_simple_chamber(a, simple_chamber):
         raise ValueError("input is not a simple chamber")
     return simple_chamber.flip(walls(a, simple_chamber))
-
-
-EXHAUSTIVE_GUARD = 16
-JUMP_POINT_TRIES = 20
 
 
 def _frozen_signs(a: CentralArrangement, basis, others, rng: random.Random):
@@ -431,43 +394,6 @@ def _frozen_signs(a: CentralArrangement, basis, others, rng: random.Random):
     return point, signs
 
 
-def _jump_candidates_at(a: CentralArrangement, x: Flat):
-    """Candidate jump witnesses built from one over-populated flat.
-
-    A flipped simple chamber of the localization at x is inconsistent
-    there; the signs of all hyperplanes off the flat are frozen by exact
-    points of x, which is where any witness extending the local one must
-    live.  Every candidate is verified by the caller, so this generator
-    only has to be plausible, not complete.
-    """
-    loc = CentralArrangement(
-        a.dim, [(l, a.normal(l)) for l in a.labels if l in x.closed_set]
-    )
-    ess, _ = essentialize(loc)
-    simple = sorted(_simple_chambers(ess), key=lambda cw: cw[0].to_string())
-    flips = [ch.flip(w).as_dict() for ch, w in simple]
-    if not flips:
-        return
-    others = [l for l in a.labels if l not in x.closed_set]
-    basis = kernel_basis(Mat([list(r) for r in x.normal_space])) if x.normal_space else []
-    rng = random.Random(7)
-    seen = set()
-    for _ in range(JUMP_POINT_TRIES if others else 1):
-        drawn = _frozen_signs(a, basis, others, rng)
-        if drawn is None:
-            continue
-        frozen = drawn[1]
-        for flip in flips:
-            assign = dict(frozen)
-            assign.update(flip)
-            eps = SignVector(a.labels, tuple(assign[l] for l in a.labels))
-            if eps not in seen:
-                seen.add(eps)
-                yield eps
-        if not others:
-            return
-
-
 def _certified_jump(a: CentralArrangement, eps: SignVector, p: int):
     """(eps, failing flat, certificate) for a jump eps in Sigma_p minus
     Sigma_{p+1}.  Membership at p is read with audit, so the witness has
@@ -482,44 +408,38 @@ def _certified_jump(a: CentralArrangement, eps: SignVector, p: int):
 def find_jump(a: CentralArrangement, p: int):
     """A sign vector in Sigma_p minus Sigma_{p+1}, or None when equal.
 
-    Up to EXHAUSTIVE_GUARD hyperplanes the circuit DFS lists Sigma_p in
-    product((1, -1)) order.  Sigma_{p+1} lies in Sigma_p, so equal counts
-    certify None (Zaslavsky's count at p + 1 = rank); otherwise the first
-    member outside the DFS's Sigma_{p+1} is the witness.  With up to
-    CHAMBER_GUARD hyperplanes only flipped simple chambers of
-    localizations at codim-(p+1) flats are tried, and a search without a
-    hit raises GuardExceeded.  Each witness is certified by in_sigma_p:
-    a certificate at p + 1 and audited points at p.
+    When no over-populated flat has codim p + 1 the circuits at p and
+    p + 1 are the same, so Sigma_p = Sigma_{p+1}, certified before any
+    circuit is computed.  Otherwise, up to CHAMBER_GUARD hyperplanes, the
+    circuit DFS lists Sigma_p in product((1, -1)) order.  Sigma_{p+1} lies
+    in Sigma_p, so equal counts certify None (Zaslavsky's count at
+    p + 1 = rank); otherwise the first member outside the DFS's
+    Sigma_{p+1} is the witness, certified by in_sigma_p: a certificate at
+    p + 1 and audited points at p.  Past the guard it raises GuardExceeded.
     """
     rk = a.rank()
     if not 2 <= p < rk:
         raise ValueError("need 2 <= p < rank")
     n = a.n_hyperplanes
-    if n <= EXHAUSTIVE_GUARD:
-        members = _conformal_masks(a, p)
-        if p + 1 == rk and len(members) == zaslavsky_chambers(a):
-            return None
-        above = set(_conformal_masks(a, p + 1))
-        pos = next((m for m in members if m not in above), None)
-        if pos is not None:
-            return _certified_jump(a, _sign_vector(a, pos), p)
-        if p + 1 == rk:
-            raise VerificationError(
-                f"|Sigma_{p}| = {len(members)} differs from Zaslavsky's count with no jump"
-            )
+    full = (1 << n) - 1
+    if len(_circuits_below(a, full, p)) == len(_circuits_below(a, full, p + 1)):
         return None
-    if n <= CHAMBER_GUARD:
-        for x in a.full_lattice():
-            # a localization cannot be inconsistent unless over-populated
-            if x.codim != p + 1 or len(x.closed_set) < p + 2:
-                continue
-            for eps in _jump_candidates_at(a, x):
-                if in_sigma_p(a, eps, p).member and not in_sigma_p(a, eps, p + 1).member:
-                    return _certified_jump(a, eps, p)
-    raise GuardExceeded(
-        f"cannot certify Sigma_{p} = Sigma_{p + 1} beyond "
-        f"{EXHAUSTIVE_GUARD} hyperplanes ({n} given)"
-    )
+    if n > CHAMBER_GUARD:
+        raise GuardExceeded(
+            f"{n} hyperplanes exceeds the enumeration guard ({CHAMBER_GUARD})"
+        )
+    members = _conformal_masks(a, p)
+    if p + 1 == rk and len(members) == zaslavsky_chambers(a):
+        return None
+    above = set(_conformal_masks(a, p + 1))
+    pos = next((m for m in members if m not in above), None)
+    if pos is not None:
+        return _certified_jump(a, _sign_vector(a, pos), p)
+    if p + 1 == rk:
+        raise VerificationError(
+            f"|Sigma_{p}| = {len(members)} differs from Zaslavsky's count with no jump"
+        )
+    return None
 
 
 def direct_sum(a1: CentralArrangement, a2: CentralArrangement) -> CentralArrangement:

@@ -239,20 +239,22 @@ def test_criterion_10_pipelines_and_guards(a52, ms63_very_generic, jump63, witne
     except Exception:
         ok = False
     m74 = random_very_generic(7, 4, seed=1)
-    hit = find_jump(m74.arrangement, 2)  # (7,4,2): 21 hyperplanes, heuristic route
+    hit = find_jump(m74.arrangement, 2)  # (7,4,2): 21 hyperplanes
     if hit is None:
         ok = False
     else:
         eps, _, cert = hit
         ok = ok and cert.verify(m74.arrangement, eps)
+    # 20 hyperplanes: Sigma_2 = Sigma_3 on the perturbed B(6,2), certified
+    ok = ok and find_jump(m62.arrangement, 2) is None
     # beyond the guards the failures must be loud, not silent
+    from msarr import CentralArrangement
+
     try:
-        find_jump(m62.arrangement, 2)  # 20 hyperplanes, no heuristic hit at p = 2
+        find_jump(CentralArrangement(3, [(f"h{i}", [1, i, i * i]) for i in range(23)]), 2)
         ok = False
     except GuardExceeded:
         pass
-    from msarr import CentralArrangement
-
     big = CentralArrangement(2, [(f"h{i}", [1, i]) for i in range(23)])
     try:
         chamber_sign_vectors(big)

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import msarr
-from msarr import feasibility
+from msarr import CentralArrangement, feasibility
 from msarr.cli import REFERENCE_ORBITS, main, orbit_canonical
 from msarr.feasibility import strict_feasibility
 
@@ -109,13 +109,31 @@ def test_sigma_scan_clean_levels(runner, arr52):
     assert rep["jump_witnesses"] == []
 
 
-def test_sigma_scan_guard_exit_code(runner, arr52):
-    r = runner.invoke(
-        main,
-        ["sigma-scan", "--arrangement", arr52, "--p", "2", "--max-hyperplanes", "5"],
-    )
+def test_sigma_scan_guard_exit_code(runner, tmp_path):
+    """23 hyperplanes are past the enumeration guard of sigma_set."""
+    path = tmp_path / "big.json"
+    big = CentralArrangement(3, [(f"h{i}", [1, i, i * i]) for i in range(23)])
+    path.write_text(json.dumps(big.to_json()))
+    r = runner.invoke(main, ["sigma-scan", "--arrangement", str(path), "--p", "2"])
     assert r.exit_code == 3
     assert "guard exceeded" in r.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sigma", "--eps", "+" * 10, "--p", "0"],
+        ["sigma-scan", "--p", "0"],
+        ["sigma", "--eps", "+" * 9, "--p", "2"],
+        ["sigma", "--eps", "+" * 9 + "0", "--p", "2"],
+    ],
+)
+def test_bad_parameters_are_usage_errors(runner, arr52, args):
+    """A level below 1 or a sign string that does not fit the labels exits
+    2 with click's usage message, not a traceback."""
+    r = runner.invoke(main, [args[0], "--arrangement", arr52, *args[1:]])
+    assert r.exit_code == 2
+    assert "Invalid value" in r.output
 
 
 def test_module_entry_point_runs_the_cli(arr52):

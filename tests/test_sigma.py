@@ -14,7 +14,6 @@ from msarr.arrangement import GordanCertificate, _conformal_masks
 from msarr.errors import GuardExceeded, VerificationError
 from msarr.fields import Q, Qrt5, sign
 from msarr.linalg import Mat, rank
-from msarr.sigma import _simple_chambers
 from msarr import (
     CentralArrangement,
     SignVector,
@@ -417,14 +416,10 @@ def essential_sub(a, labels):
 
 
 def assert_simple_chambers_match_lp(a):
-    """Ray test and direct enumeration against the LP test on every chamber."""
+    """The ray test against the LP test on every chamber."""
     lp = {ch: oracles.lp_is_simple_chamber(a, ch) for ch in chamber_sign_vectors(a)}
     for ch, simple in lp.items():
         assert is_simple_chamber(a, ch) == simple, ch.to_string()
-    expected = {ch: frozenset(walls(a, ch)) for ch, simple in lp.items() if simple}
-    listed = [(ch, frozenset(w)) for ch, w in _simple_chambers(a)]
-    assert len(listed) == len(expected)
-    assert dict(listed) == expected
     return sum(lp.values()), len(lp)
 
 
@@ -538,6 +533,39 @@ def test_find_jump_matches_exhaustive_scan(name):
     a = dfs_case(name)
     for p in range(2, a.rank()):
         assert find_jump(a, p) == oracles.exhaustive_find_jump(dfs_case(name), p)
+
+
+def test_find_jump_past_16_hyperplanes_follows_the_product_formula():
+    """A very generic B(6,3) plus ms-3.1 has 19 hyperplanes and rank 5.
+    Sigma_p of the sum is Sigma_p(B(6,3)) x Sigma_2(ms-3.1), ms-3.1 of
+    rank 2 with 8 chambers, so the first jump in product order is the
+    exhaustive scan's on B(6,3) followed by the first chamber of ms-3.1."""
+    vg63 = dfs_case("vg63-1")
+    ms31 = build_ms(named_base("ms-3.1")).arrangement
+    total = direct_sum(vg63, ms31)
+    assert (total.n_hyperplanes, total.rank()) == (19, 5)
+    eps, flat, cert = find_jump(total, 2)
+    first = oracles.exhaustive_find_jump(dfs_case("vg63-1"), 2)[0]
+    chamber = min(chamber_sign_vectors(ms31), key=lambda e: [-s for s in e.signs])
+    assert eps.signs == first.signs + chamber.signs
+    assert eps.to_string() == "+-+++---++--+-++++-"
+    assert flat.codim == 3 and cert.verify(total, eps)
+    assert len(sigma_set(total, 2)) == 148 * 8 == 1184
+    assert len(sigma_set(total, 3)) == 140 * 8 == 1120
+
+
+def test_find_jump_without_codim_p1_circuits_lists_nothing(monkeypatch):
+    """18 hyperplanes on the moment curve in R^4 have no over-populated
+    flat of codim 3, so Sigma_2 = Sigma_3 is certified with no DFS."""
+
+    def refuse(*args):
+        raise AssertionError("the DFS ran")
+
+    monkeypatch.setattr(sigma, "_conformal_masks", refuse)
+    a = CentralArrangement(4, [(f"t{t}", [1, t, t * t, t**3]) for t in range(18)])
+    assert find_jump(a, 2) is None
+    with pytest.raises(AssertionError):
+        find_jump(a, 3)
 
 
 def test_returned_jumps_carry_audited_points(w62, monkeypatch):
