@@ -7,10 +7,12 @@ the hyperplanes containing it), localizations, an essentialization with a
 point back-map, chamber sign vectors, the Zaslavsky chamber count used as
 an independent oracle, and minimal circuits with their dependency
 coefficients.  Beside the lattice each arrangement keeps every closed set
-as an integer label mask, for subset tests by bit operations, and, from
-first use, the signed circuits spanning each over-populated flat as pairs
-of label masks, which the circuit DFS (chambers, and sigma's Sigma_p) and
-sigma's consistency test scan.
+as an integer label mask, for subset tests by bit operations, the flats
+each flat covers, and one more mask per flat, pos(F): the labels positive
+at a point of F off every hyperplane outside it.  On the labels of a flat
+X that covers F, pos(F) is the cocircuit of the line F/X up to sign, so
+one cover test on those masks decides consistency at X (sigma) and
+drives the DFS that lists chambers and Sigma_p.
 
 Every lattice decision runs on integers: each normal gets one canonical
 integral form at construction (a primitive integer vector over Q, a pair
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 
 from .errors import GuardExceeded
@@ -211,9 +213,9 @@ class CentralArrangement:
         self._rank = None
         self._chambers = None
         self._scaled = None
-        self._populated = None  # (index, mask, codim) of over-populated flats
-        self._circuit_tables = {}  # lattice index -> _CircuitTable
-        self._below = {}  # (label mask, codim) -> circuit tables of the flats in it
+        self._index = None  # closed mask -> lattice index
+        self._pos = None  # pos(F) per flat, in lattice order
+        self._covers = None  # per flat, the lattice indices of the flats it covers
 
     def _reject_parallel(self):
         seen = {}
@@ -282,7 +284,6 @@ class CentralArrangement:
     def full_lattice(self):
         if self._lattice is None:
             self._lattice = self._build_lattice()
-            self._masks = tuple(self.label_mask(f.closed_set) for f in self._lattice)
         return self._lattice
 
     def label_mask(self, labels) -> int:
@@ -304,10 +305,12 @@ class CentralArrangement:
         self.full_lattice()
         return self._masks
 
-    def _flat(self, closed, free):
+    def _flat(self, mask, free):
+        """The flat with closed label mask mask whose integer basis has the
+        free columns free."""
         pivots = tuple(c for c in range(self.dim) if c not in free)
-        rows = tuple(self._normals[l] for l in self.labels if l in closed)
-        return Flat(closed, len(pivots), pivots, rows)
+        closed = [l for l in self.labels if self._bits[l] & mask]
+        return Flat(frozenset(closed), len(pivots), pivots, tuple(self._normals[l] for l in closed))
 
     def _build_lattice(self):
         """BFS on codim: the covers of F are the classes of labels off F
@@ -317,30 +320,55 @@ class CentralArrangement:
         kernel X^perp and two labels cut the same cover iff their images
         span one line.  A new cover's basis is a _cut of K by its class's
         image; bases are kept for one level only.
+
+        Beside the flats it records, one int per flat F, pos(F): the labels
+        positive at F's point k_1 + t k_2 + t^2 k_3 + ... as t -> 0+, each
+        the sign of its first nonzero image, flipped where the integral
+        form points against the normal.  That point lies on F and on no
+        hyperplane off it.  And, per flat, the lattice indices of the flats
+        it covers, from the (flat, class) pairs met: at most F*N entries,
+        F flats and N labels.
         """
         dot, key, zero, comb = _integral_ops(self._rt5)
-        ints = self._integral
-        top = self._flat(frozenset(), range(self.dim))
-        by_labels = {top.closed_set: top}
-        frontier = [(top, self._units, tuple(range(self.dim)))]
+        ints, bits = self._integral, self._bits
+        flip = self.label_mask(l for l in self.labels if next(v for v in self._normals[l] if v) < 0)
+        by_mask = {0: self._flat(0, range(self.dim))}
+        pos_of, below = {}, {0: []}
+        frontier = [(0, self._units, tuple(range(self.dim)))]
         while frontier:
             newly = []
-            for fl, ker, free in frontier:
-                classes = {}
+            for mask, ker, free in frontier:
+                classes = {}  # image line -> [images, label mask of the class]
+                pos = 0
                 for lab in self.labels:
-                    if lab in fl.closed_set:
+                    b = bits[lab]
+                    if b & mask:
                         continue
                     images = [dot(ints[lab], k) for k in ker]
-                    classes.setdefault(key(images), (images, []))[1].append(lab)
+                    line, positive = key(images)
+                    if positive:
+                        pos |= b
+                    cls = classes.get(line)
+                    if cls is None:
+                        classes[line] = [images, b]
+                    else:
+                        cls[1] |= b
+                pos_of[mask] = pos ^ (flip & ~mask)
                 for images, cls in classes.values():
-                    closed = fl.closed_set.union(cls)
-                    if closed in by_labels:
-                        continue
-                    cker, cfree = _cut(ker, free, images, zero, comb)
-                    by_labels[closed] = self._flat(closed, cfree)
-                    newly.append((by_labels[closed], cker, cfree))
+                    cmask = mask | cls
+                    if cmask not in below:
+                        cker, cfree = _cut(ker, free, images, zero, comb)
+                        by_mask[cmask] = self._flat(cmask, cfree)
+                        below[cmask] = []
+                        newly.append((cmask, cker, cfree))
+                    below[cmask].append(mask)
             frontier = newly
-        return sorted(by_labels.values(), key=lambda f: (f.codim, f.sorted_labels()))
+        order = sorted(by_mask, key=lambda m: (by_mask[m].codim, by_mask[m].sorted_labels()))
+        self._index = {m: i for i, m in enumerate(order)}
+        self._masks = tuple(order)
+        self._pos = tuple(pos_of[m] for m in order)
+        self._covers = tuple(tuple(map(self._index.__getitem__, below[m])) for m in order)
+        return [by_mask[m] for m in order]
 
     def flats(self, max_codim=None):
         if max_codim is None:
@@ -356,7 +384,7 @@ class CentralArrangement:
             images = [dot(self._integral[l], k) for k in ker]
             if any(v != zero for v in images):
                 ker, free = _cut(ker, free, images, zero, comb)
-        closed = frozenset(
+        closed = self.label_mask(
             l for l in self.labels if all(dot(self._integral[l], k) == zero for k in ker)
         )
         return self._flat(closed, free)
@@ -441,160 +469,85 @@ def _pivot_rows(a, x, idx):
     return [[rows[j][1][c] for c in x.pivots] for j in idx]
 
 
-class _CircuitTable:
-    """The signed circuits spanning one over-populated flat of the lattice,
-    built as far as they are read.
+def _cocircuits(a, i, t):
+    """(support, positive mask) on the labels t of the cocircuit of each
+    flat that the lattice flat i covers, in the order of a._covers[i];
+    None when t lies in one of those flats, so t does not span the flat's
+    X^perp.
 
-    A circuit is a (q+1)-subset S of the closed set, q the codim, whose
-    q-subsets are all independent.  By Cramer's rule its dependency is
-    c_j = (-1)^j det(S - s_j), taken on the scaled rows in the flat's pivot
-    coordinates; a positive row scale keeps every sign.  pairs holds
-    (support mask, positive mask) per circuit, flattened, supports in
-    lexicographic order.  Iterating yields them as pairs and extends the
-    table only up to the last pair taken, so a scan that stops at its first
-    conforming circuit builds the table up to that circuit.  Each q-minor
-    is computed once, on first need; while the table is partial a memo of
-    at most sum over k <= q of C(n, k) minors and signs, n labels, lives
-    with it.  A complete table is a tuple and keeps neither memo nor rows.
+    A covered flat Y meets the flat's localization in a line, and Y's point
+    for pos(Y) lies on that line off the flat, so its signs on t are the
+    cocircuit up to sign.  Needs the lattice built.
     """
-
-    __slots__ = ("pairs", "_more")
-
-    def __init__(self, a, i):
-        self.pairs = []
-        self._more = _circuit_pairs(a, i)
-
-    def __iter__(self):
-        if self._more is None:
-            it = iter(self.pairs)
-            return zip(it, it)
-        return self._extend(self.pairs, self._more)
-
-    def _extend(self, pairs, more):
-        # A pair is stored before it is yielded, and every stored pair is
-        # yielded before the next is computed, so neither a reader that
-        # stops nor another reader in between loses one; the empty pairs
-        # yield what was stored before this reader started and after the
-        # last pair was computed.
-        k = 0
-        for pair in chain([()], more, [()]):
-            pairs.extend(pair)
-            while k < len(pairs):
-                yield pairs[k], pairs[k + 1]
-                k += 2
-        self.pairs, self._more = tuple(pairs), None
-
-
-def _circuit_pairs(a, i):
-    """(support mask, positive mask) of each circuit of _CircuitTable, in
-    order.  A k-minor on the first k columns expands along its last column
-    into (k-1)-minors, so every minor is a sum of ring products; the
-    q-minors keep only their signs."""
-    f = a.full_lattice()[i]
-    q = f.codim
-    idx = _bit_indices(a.lattice_masks()[i])
-    rows = _pivot_rows(a, f, idx)
-    ring = a._ring
-    mul_, add_, sub_, sign_of = ring.mul, ring.add, ring.sub, ring.sign
-    minors = {0: ring.of_int(1)}  # k-rows mask -> minor, k < q
-    signs = {}  # q-rows mask -> sign of its minor
-
-    def expand(mask, rows_in):
-        # rows_in: the rows of mask, ascending
-        col = len(rows_in) - 1
-        total = ring.zero
-        for j, s in enumerate(rows_in):
-            rest = mask ^ (1 << s)
-            m = minors.get(rest)
-            if m is None:
-                m = minors[rest] = expand(rest, rows_in[:j] + rows_in[j + 1 :])
-            t = mul_(rows[s][col], m)
-            total = sub_(total, t) if (j + col) % 2 else add_(total, t)
-        return total
-
-    for subset in combinations(range(len(idx)), q + 1):
-        local = 0
-        for s in subset:
-            local |= 1 << s
-        supp = pos = 0
-        for j, s in enumerate(subset):
-            rest = local ^ (1 << s)
-            g = signs.get(rest)
-            if g is None:
-                g = signs[rest] = sign_of(expand(rest, subset[:j] + subset[j + 1 :]))
-            if not g:
-                break
-            supp |= 1 << idx[s]
-            if (g > 0) == (j % 2 == 0):
-                pos |= 1 << idx[s]
-        else:
-            yield supp, pos
-
-
-def _circuits_below(a, mask, codim):
-    """[(lattice index, circuit table)] of the over-populated flats of codim
-    at most codim whose closed sets lie in mask, in lattice order.
-
-    Every signed circuit inside a flat's closed set spans exactly one such
-    flat below it, so for the mask and codim of a flat these tables list
-    each of its circuits once.  A table may turn out empty; that shows only
-    once it is read.  Kept per (mask, codim); the tables themselves are
-    shared between masks.  A whole table of n labels at codim q costs the
-    sum over k <= q + 1 of C(n, k) minors and subsets, which grows with n
-    and q, so no table below a flat costs more than the flat's own.
-    """
-    if (mask, codim) in a._below:
-        return a._below[mask, codim]
-    if a._populated is None:
-        a._populated = [
-            (i, m, f.codim)
-            for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks()))
-            if m.bit_count() > f.codim
-        ]
+    masks, pos = a._masks, a._pos
     out = []
-    for i, m, q in a._populated:
-        if q > codim:
-            break
-        if m & mask != m:
-            continue
-        if i not in a._circuit_tables:
-            a._circuit_tables[i] = _CircuitTable(a, i)
-        out.append((i, a._circuit_tables[i]))
-    a._below[mask, codim] = out
+    for y in a._covers[i]:
+        supp = t & ~masks[y]
+        if not supp:
+            return None
+        out.append((supp, pos[y] & supp))
     return out
 
 
-def _signed_circuits(tables):
-    """(lattice index, support mask, positive mask) of each circuit of the
-    tables from _circuits_below, in their order, extending each table only
-    as far as the caller reads."""
-    for i, table in tables:
-        for supp, pos in table:
-            yield i, supp, pos
+def _covered(t, cocircuits, pos):
+    """The cover test: the sign vector with positive mask pos is consistent
+    on a label set t spanning its flat's X^perp iff the supports of the
+    cocircuits that conform to it up to sign cover t.
+
+    Covered, the sum of their oriented points has the signs of pos on t.
+    Consistent, the local cone is pointed, so its extreme rays, each a
+    conforming cocircuit, span it, and their sum is interior: they cover.
+    """
+    covered = 0
+    for supp, c in cocircuits:
+        d = (pos ^ c) & supp
+        if d == 0 or d == supp:
+            covered |= supp
+            if covered == t:
+                return True
+    return False
 
 
-def _conformal_masks(a: CentralArrangement, codim: int) -> list:
-    """Positive-label masks of the sign vectors no signed circuit of an
-    over-populated flat of codim at most codim conforms to, in
-    product((1, -1)) order: a DFS over the labels, + before -, checks at
-    label i the circuits whose highest label is i.  At codim rank no
-    prefix dead-ends; below it one can."""
+def _conformal_masks(a: CentralArrangement, codim: int, flag=None):
+    """(positive-label mask, still consistent up to codim flag) of each
+    sign vector consistent at every flat of codim at most codim, in
+    product((1, -1)) order, as a generator.
+
+    A DFS over the labels, + before -, tests at label i each over-populated
+    flat Z of codim at most codim, or flag, that contains i, on the prefix
+    t of Z's closed set up to i: t is inconsistent iff a conforming
+    circuit lies inside the prefix, whose highest label is then i.  A
+    prefix that does not span Z is skipped, since such a circuit spans a
+    smaller flat that holds i.  Failing a flat of codim at most codim cuts
+    the prefix; failing one of codim flag only clears the flag.  At codim
+    rank no prefix dead-ends; below it one can.
+    """
     n = a.n_hyperplanes
-    ending = [[] for _ in range(n)]
-    for _, supp, pos in _signed_circuits(_circuits_below(a, (1 << n) - 1, codim)):
-        ending[supp.bit_length() - 1].append((supp, pos))
-    out = []
-
-    def descend(i, pos):
+    top = codim if flag is None else flag
+    tests = [[] for _ in range(n)]
+    for z, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks())):
+        if f.codim > top:
+            break
+        for i in _bit_indices(m):
+            t = m & ((2 << i) - 1)
+            cocircuits = _cocircuits(a, z, t) if t.bit_count() > f.codim else None
+            if cocircuits is not None:
+                tests[i].append((t, cocircuits, f.codim <= codim))
+    stack = [(0, 0, True)]
+    while stack:
+        i, pos, above = stack.pop()
         if i == n:
-            out.append(pos)
-            return
-        for p in (pos | 1 << i, pos):
-            if all((p ^ c) & s not in (0, s) for s, c in ending[i]):
-                descend(i + 1, p)
-
-    descend(0, 0)
-    return out
+            yield pos, above
+            continue
+        for p in (pos, pos | 1 << i):  # - pushed first, so + is taken first
+            ok = above
+            for t, cocircuits, cut in tests[i]:
+                if (cut or ok) and not _covered(t, cocircuits, p):
+                    if cut:
+                        break
+                    ok = False
+            else:
+                stack.append((i + 1, p, ok))
 
 
 def _sign_vector(a: CentralArrangement, pos: int) -> SignVector:
@@ -605,11 +558,9 @@ def _sign_vector(a: CentralArrangement, pos: int) -> SignVector:
 def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
     """Sign vectors realized by complement points, by pruned DFS.
 
-    A sign vector is realized iff no signed circuit conforms to it
-    (Gordan's alternative and conformal decomposition), and every realized
-    prefix extends, so the DFS never dead-ends and needs no witness point.
-    The circuit tables are those of every over-populated flat, so
-    CHAMBER_GUARD bounds them with the chambers.  The set is kept on the
+    A sign vector is realized iff it passes the cover test at every
+    over-populated flat, and every realized prefix extends, so the DFS
+    never dead-ends and needs no witness point.  The set is kept on the
     arrangement, write-once like its lattice.
     """
     n = a.n_hyperplanes
@@ -618,7 +569,7 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
             f"{n} hyperplanes exceeds the chamber enumeration guard ({CHAMBER_GUARD})"
         )
     if a._chambers is None:
-        a._chambers = frozenset(_sign_vector(a, pos) for pos in _conformal_masks(a, a.rank()))
+        a._chambers = frozenset(_sign_vector(a, pos) for pos, _ in _conformal_masks(a, a.rank()))
     return a._chambers
 
 

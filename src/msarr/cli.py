@@ -242,7 +242,7 @@ def verify_clean_52(moment, out):
 @click.option("--k", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--seed", type=int, default=1)
-@click.option("--denom", type=int, default=10**6)
+@click.option("--denom", type=click.IntRange(min=2), default=10**6)
 @click.option("--out", default=None)
 def main_theorem(n, k, p, seed, denom, out):
     """Desk-scale jump/equality pipelines: (6,3,2), (6,2,3), (5,2,2)."""
@@ -309,16 +309,19 @@ def witness(n, k, seed, out):
 
 
 def _make_witness(n, k, seed):
-    if n - k == 3:
-        return witness_rank3(n, k, seed=seed)
-    return witness_rank_r(n, k, seed=seed)
+    try:
+        if n - k == 3:
+            return witness_rank3(n, k, seed=seed)
+        return witness_rank_r(n, k, seed=seed)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--n' / '--k'") from None
 
 
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--seed", type=int, default=1)
-@click.option("--denom", type=int, default=10**6)
+@click.option("--denom", type=click.IntRange(min=2), default=10**6)
 @click.option("--out", default=None)
 def perturb(n, k, seed, denom, out):
     """Witness construction followed by a very generic perturbation."""

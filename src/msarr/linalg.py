@@ -9,11 +9,11 @@ The private integral helpers serve the intersection lattice: a vector over
 Q becomes a primitive integer vector, a vector over Q(sqrt5) a pair of
 integer vectors (A, B) with the vector proportional to A + B*sqrt5, and
 a flat's integer kernel basis becomes a cover's by one fraction-free step.
-The private ring helpers serve the circuit tables: a normal scaled by its
-least common denominator has int entries over Q and (a, b) pairs for
-a + b*sqrt5 over Q(sqrt5), whose minors are sums of ring products, and
-the kernel vector of m independent rows of length m + 1 comes from one
-fraction-free elimination.
+The private ring helpers serve certificates and interior points: a normal
+scaled by its least common denominator has int entries over Q and (a, b)
+pairs for a + b*sqrt5 over Q(sqrt5), and the kernel vector of m
+independent rows of length m + 1 comes from one fraction-free
+elimination.
 Both read the ``numerator``/``denominator`` fields of the rationals
 directly, so gmpy2's mpq should work as well as Fraction, but that backend
 has not been tested with them.
@@ -209,12 +209,18 @@ def _cleared(vec, rt5):
     return den, [int(v.numerator) * (den // int(v.denominator)) for v in values]
 
 
+def _image_key(v):
+    """(v divided by its gcd with the sign of its lead, the first nonzero
+    entry, and whether that lead is positive) for a nonzero integer vector."""
+    g = gcd(*v)
+    if max(v, key=bool) < 0:  # the lead
+        g = -g
+    return tuple([x // g for x in v]), g > 0
+
+
 def _primitive(v):
     """Divide an integer vector by its gcd, making the lead positive."""
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
+    return _image_key(v)[0]
 
 
 def _primitive_rt5(a, b):
@@ -259,7 +265,7 @@ def _dot_rt5(u, v):
 
 
 def _image_key_rt5(images):
-    return _primitive_rt5(*zip(*images))
+    return _primitive_rt5(*zip(*images)), _sign_rt5(max(images, key=any)) > 0
 
 
 def _comb(s, x, t, y):
@@ -279,12 +285,13 @@ def _integral_ops(rt5):
 
     dot(n, k) is the exact product of the vectors n and k stand for, up to
     their integral scaling; key maps a nonzero list of such products to the
-    canonical form of its line; zero is the product of orthogonal vectors;
-    comb(s, x, t, y) is the canonical form of s*x - t*y.
+    canonical form of its line and whether its first nonzero entry is
+    positive; zero is the product of orthogonal vectors; comb(s, x, t, y)
+    is the canonical form of s*x - t*y.
     """
     if rt5:
         return _dot_rt5, _image_key_rt5, (0, 0), _comb_rt5
-    return _dot, _primitive, 0, _comb
+    return _dot, _image_key, 0, _comb
 
 
 _Ring = namedtuple("_Ring", "mul add sub div dot sign zero of_int")

@@ -7,20 +7,20 @@ consistency at every flat below it, and every lower flat extends upward
 while codim < rank.  Non-membership always carries a positive relation
 certificate; membership carries interior points when they are asked for.
 
-A flat is decided by signed circuits on label masks (Gordan's alternative
-and conformal decomposition: eps fails at X iff a signed circuit inside
-X's closed set conforms to it), and both the verdict and its certificate
-are exact integer work.  An interior point, a sum of oriented rays of the
-flats one codim down, is built only when a caller reads it.  A strict LP
-runs only at an over-populated flat whose circuit table would cost more
-than CIRCUIT_BOUND.
+A flat is decided by one cover test on the lattice's cocircuit sign
+masks (an oriented matroid's covectors are the compositions of its
+cocircuits: eps is consistent at X iff the cocircuits of X's lines that
+conform to it cover X's labels), so the verdict is bit operations on
+label masks.  A non-member's certificate is a conforming circuit, found
+by deleting labels, with its relation from one fraction-free kernel
+vector; a member's interior point, a sum of oriented rays of the flats
+one codim down, is built only when a caller reads it.
 
-The circuits inside codim-q closed sets, q = min(p, rank), are those of
-the over-populated flats of codim at most q, so a DFS over the labels
-cutting each prefix one of them conforms to lists Sigma_p whole.  That
-DFS is find_jump's only search: it certifies Sigma_p = Sigma_{p+1} by
-counting both, or returns the first member of Sigma_p outside Sigma_{p+1},
-up to CHAMBER_GUARD hyperplanes.
+The same test on the prefixes of the over-populated flats of codim at
+most q = min(p, rank) drives a DFS over the labels that lists Sigma_p
+whole.  That DFS is find_jump's only search: walking Sigma_p with a flag
+for Sigma_{p+1}, it returns the first member of Sigma_p outside
+Sigma_{p+1}, or certifies equality, up to CHAMBER_GUARD hyperplanes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .arrangement import (
     CHAMBER_GUARD,
@@ -37,18 +36,17 @@ from .arrangement import (
     GordanCertificate,
     SignVector,
     _bit_indices,
-    _circuits_below,
+    _cocircuits,
     _conformal_masks,
+    _covered,
     _eval,
-    _sign_vector,
-    _signed_circuits,
     _pivot_rows,
+    _sign_vector,
     chamber_sign_vectors,
     zaslavsky_chambers,
 )
 from .errors import GuardExceeded, VerificationError
 from .fields import Q, sign
-from .feasibility import strict_feasibility
 from .linalg import Mat, _ring_kernel, _ring_primitive, _ring_scalars, rref
 
 __all__ = [
@@ -79,17 +77,10 @@ class SigmaReport:
         return self.verdict == "member"
 
 
-# An over-populated flat of n labels at codim q is decided by circuits iff
-# its table's minors and (q+1)-subsets, sum over k <= q + 1 of C(n, k),
-# number at most this.
-CIRCUIT_BOUND = 2**15
-
-
-def _cache(a: CentralArrangement, name="_consistency_cache") -> dict:
-    c = getattr(a, name, None)
+def _cache(a: CentralArrangement) -> dict:
+    c = getattr(a, "_consistency_cache", None)
     if c is None:
-        c = {}
-        setattr(a, name, c)
+        c = a._consistency_cache = {}
     return c
 
 
@@ -99,17 +90,6 @@ def _lift(dim, pivots, y):
     for c, v in zip(pivots, y):
         point[c] = v
     return tuple(point)
-
-
-def _conforming(tables, pos):
-    """(lattice index, support) of the first circuit of the tables that
-    conforms to the sign vector with positive-label mask pos, or None.
-    The tables are built only up to that circuit; None reads them whole."""
-    for i, supp, cpos in _signed_circuits(tables):
-        t = (pos ^ cpos) & supp
-        if t == 0 or t == supp:
-            return i, supp
-    return None
 
 
 def _circuit_certificate(a, eps, i, supp):
@@ -139,68 +119,32 @@ def _circuit_certificate(a, eps, i, supp):
     return cert
 
 
-def _rays(a, x, idx):
-    """(support, positive mask, ray) for each codim-(q-1) flat Y below x,
-    flattened into one tuple, q + 2 entries each.
-
-    The ray spans Y modulo x, in x's pivot coordinates: the kernel vector
-    of q - 1 independent scaled rows T, orthogonal to exactly the rows of
-    Y, made primitive.  The subsets T are met in lexicographic order and
-    each Y keeps the first; support holds x's labels off Y and the positive
-    mask those whose rows have a positive product with the ray.
-    """
-    q = x.codim
-    ring = a._ring
-    xrows = dict(zip(idx, _pivot_rows(a, x, idx)))
-    out = []
-    for t in combinations(idx, q - 1):
-        tmask = 0
-        for j in t:
-            tmask |= 1 << j
-        if any(tmask & supp == 0 for supp in out[:: q + 2]):
-            continue  # t lies in a flat met already
-        ray = _ring_kernel([xrows[j] for j in t], ring)
-        if ray is None:
-            continue  # t is dependent
-        ray = _ring_primitive(ray, a._rt5)
-        supp = pos = 0
-        for j in idx:
-            g = ring.sign(ring.dot(xrows[j], ray))
-            if g:
-                supp |= 1 << j
-            if g > 0:
-                pos |= 1 << j
-        out += (supp, pos, *ray)
-    return tuple(out)
-
-
-def _cocircuit_point(a, x, mask, pos):
+def _ray_point(a, x, mask, pos, flats):
     """An interior point of the local cone of the sign vector with positive
-    mask pos at x, in x's pivot coordinates, when no circuit conforms.
+    mask pos at x, closed mask mask, in a's coordinates, given the label
+    masks of the flats x covers whose cocircuits conform to it and cover x.
 
-    The cone is pointed (the closed set spans X^perp) and full, so it is
-    spanned by its extreme rays, each the ray of a codim-(q-1) flat below x
-    oriented to the sign vector, and the sum of all rays that orient is
-    interior.  It is checked by substitution into every scaled row.
+    Each flat's ray spans it modulo x, in x's pivot coordinates: the
+    primitive kernel vector of its lexicographically first q - 1
+    independent scaled rows, q the codim, oriented to the sign vector.
+    Their sum is interior; it is checked by substitution into every scaled
+    row.
     """
-    idx = _bit_indices(mask)
-    kept = _cache(a, "_ray_tables")
-    rays = kept.get(mask)
-    if rays is None:
-        rays = _rays(a, x, idx)
-        if len(idx) > x.codim:
-            kept[mask] = rays
     ring = a._ring
     q = x.codim
+    idx = _bit_indices(mask)
+    rows = dict(zip(idx, _pivot_rows(a, x, idx)))
     total = [ring.zero] * q
-    for k in range(0, len(rays), q + 2):
-        supp, rpos = rays[k], rays[k + 1]
-        t = (pos ^ rpos) & supp
-        if t == 0:
-            total = [ring.add(u, v) for u, v in zip(total, rays[k + 2 : k + q + 2])]
-        elif t == supp:
-            total = [ring.sub(u, v) for u, v in zip(total, rays[k + 2 : k + q + 2])]
-    for j, row in zip(idx, _pivot_rows(a, x, idx)):
+    for y in flats:
+        ray = next(
+            r for t in combinations(_bit_indices(y), q - 1)
+            if (r := _ring_kernel([rows[j] for j in t], ring)) is not None
+        )
+        ray = _ring_primitive(ray, a._rt5)
+        j = next(j for j in idx if not y >> j & 1)
+        add = ring.add if (ring.sign(ring.dot(rows[j], ray)) > 0) == bool(pos >> j & 1) else ring.sub
+        total = [add(u, v) for u, v in zip(total, ray)]
+    for j, row in rows.items():
         if ring.sign(ring.dot(row, total)) != (1 if pos >> j & 1 else -1):
             raise VerificationError(f"ray sum misses the sign of {a.labels[j]!r} at {sorted(x.closed_set)}")
     return _lift(a.dim, x.pivots, _ring_scalars(total, a._rt5))
@@ -214,34 +158,25 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
     coordinates over the echelon basis there, and a point in the reduced
     system lifts by scattering onto the pivot columns.
 
-    - eps fails at x iff a signed circuit inside the closed set conforms
-      to it (Gordan's alternative and conformal decomposition).  The
-      circuit tables of the over-populated flats below x, x included, are
-      scanned in lattice order, each in lexicographic order, so the first
-      conforming circuit, and its certificate, are deterministic.  When the
-      closed set numbers codim its normals are independent: no circuit.
-    - Without one, the sum of the oriented rays of the codim-(q-1) flats
-      below x is an interior point.  Each ray is one fraction-free kernel
-      vector, so a flat whose closed set numbers its codim q costs q of
-      them and no table.
-    - Only an over-populated x of n labels with sum over k <= q + 1 of
-      C(n, k) over CIRCUIT_BOUND solves a strict LP instead.  That cost
-      grows with n and q, so no flat below x costs more.
+    - One cover test decides (arrangement._covered): eps is consistent at
+      x iff the cocircuits of the flats x covers that conform to it cover
+      x's labels.  A flat whose closed set numbers its codim q has
+      independent normals, so every sign vector is consistent there.
+    - A member's point is the sum of the oriented rays of those flats,
+      one fraction-free kernel vector each.  An independent flat covers
+      its q subsets of q - 1 labels, so it reads no lattice.
+    - A non-member's certificate comes from the first flat below x, in
+      lattice order, where eps fails: its labels are deleted from the
+      highest down while the rest still spans and fails, which leaves a
+      conforming circuit, and one kernel vector gives its relation.
 
     A point is built on the first read that returns it (this function,
     or in_sigma_p with audit), never by an unaudited in_sigma_p; find_jump
     and jump_after_perturbation audit only the witness they return.
-    Certificates and points are verified by substitution.  Four tables
-    are kept on the arrangement, each with a bound: one circuit table per
-    over-populated flat decided by circuits, built up to the first
-    circuit a read finds conforming and whole only once a read finds
-    none, at most CIRCUIT_BOUND pairs of label masks, with a memo of at
-    most sum over k <= q of C(n, k) minors, n labels, only while it is
-    partial; one list per (mask, codim) met of the tables below it,
-    sharing them; one ray table per such flat whose point was read, at
-    most one ray per codim-(q-1) flat of the lattice below it; and the
-    results, one per flat and local sign pattern met, so at most sum over
-    flats of 2^|closed set|.
+    Certificates and points are verified by substitution.  The results are
+    kept on the arrangement, one per flat and local sign pattern met, so
+    at most the sum over flats of 2^|closed set|; the lattice beside them
+    keeps pos(F), one int per flat, and the covers, at most F*N entries.
     """
     return _consistent(a, eps, x, audit=True)
 
@@ -255,41 +190,63 @@ def _consistent(a, eps, x, audit):
     cache = _cache(a)
     key = (x.closed_set, signs)
     hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = _decide(a, eps, x, labels, signs)
-    if audit and hit[1] is None:
+    if hit is None or audit and hit[1] is None:
+        mask = a.label_mask(labels)
         pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
-        hit = cache[key] = (True, _cocircuit_point(a, x, a.label_mask(labels), pos))
+        hit = cache[key] = _decide(a, eps, x, mask, pos, audit)
     return hit
 
 
-def _decide(a, eps, x, labels, signs):
-    """(False, certificate), or (True, None) for a member, on a cache miss."""
-    q = x.codim
-    if len(labels) == q:
-        # the labels of such a flat, and so of every flat below it, are
-        # independent: no circuit
+def _decide(a, eps, x, mask, pos, audit):
+    """(False, certificate), or (True, point) for a member, the point None
+    unless audit; on a cache miss or the first audited read of a member."""
+    independent = mask.bit_count() == x.codim
+    if not independent:
+        a.full_lattice()
+        i = a._index[mask]
+        if _fails(a, i, pos):
+            return False, _circuit_certificate(a, eps, *_failing_circuit(a, i, pos))
+    if not audit:
         return True, None
-    if sum(comb(len(labels), k) for k in range(q + 2)) > CIRCUIT_BOUND:
-        return _lp_decide(a, x, labels, signs)
-    pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
-    hit = _conforming(_circuits_below(a, a.label_mask(labels), q), pos)
-    if hit is not None:
-        return False, _circuit_certificate(a, eps, *hit)
-    return True, None
+    if independent:
+        # x covers its q subsets of q - 1 labels, and each conforms
+        flats = [mask ^ 1 << j for j in _bit_indices(mask)]
+    else:
+        masks = a._masks
+        covers = zip(a._covers[i], _cocircuits(a, i, mask))
+        flats = [masks[y] for y, (supp, c) in covers if (pos ^ c) & supp in (0, supp)]
+    return True, _ray_point(a, x, mask, pos, flats)
 
 
-def _lp_decide(a, x, labels, signs):
-    """The strict LP of x's localized rows in its pivot coordinates."""
-    piv = x.pivots
-    res = strict_feasibility(
-        [[s * a.normal(l)[c] for c in piv] for l, s in zip(labels, signs)]
-    )
-    if res.feasible:
-        return True, _lift(a.dim, piv, res.point)
-    support = [l for l, lam in zip(labels, res.certificate) if lam > 0]
-    coeffs = [lam for lam in res.certificate if lam > 0]
-    return False, GordanCertificate(tuple(support), tuple(coeffs))
+def _fails(a, i, pos):
+    """The cover test at the lattice flat i."""
+    m = a.lattice_masks()[i]
+    return m.bit_count() > a.full_lattice()[i].codim and not _covered(m, _cocircuits(a, i, m), pos)
+
+
+def _failing_circuit(a, i, pos):
+    """(lattice index, support) of a circuit conforming to the sign vector
+    with positive mask pos, which fails at the lattice flat i.
+
+    A sign vector fails at a flat below i only if it fails at a flat i
+    covers, so the failing flats of least codim below i are reached down
+    the failing covers, and the first of them in lattice order is the
+    first failing flat below i.  A conforming circuit spans it, as a
+    smaller one would span a failing flat before it.  Deleting its labels
+    from the highest down while the rest spans it and fails leaves such a
+    circuit.
+    """
+    level = {i}
+    while below := {z for y in level for z in a._covers[y] if _fails(a, z, pos)}:
+        level = below
+    z = min(level)
+    t = a.lattice_masks()[z]
+    for j in reversed(_bit_indices(t)):
+        rest = t ^ 1 << j
+        cocircuits = _cocircuits(a, z, rest)
+        if cocircuits is not None and not _covered(rest, cocircuits, pos):
+            t = rest
+    return z, t
 
 
 def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = False) -> SigmaReport:
@@ -319,7 +276,7 @@ def sigma_set(a: CentralArrangement, p: int):
         )
     if p < 1:
         raise ValueError("p must be at least 1")
-    return {_sign_vector(a, pos) for pos in _conformal_masks(a, min(p, a.rank()))}
+    return {_sign_vector(a, pos) for pos, _ in _conformal_masks(a, min(p, a.rank()))}
 
 
 def walls(a: CentralArrangement, chamber: SignVector):
@@ -330,7 +287,7 @@ def walls(a: CentralArrangement, chamber: SignVector):
     return {l for l in a.labels if chamber.flip([l]) in chambers}
 
 
-def _wall_rays(a: CentralArrangement, w):
+def _rays_of_walls(a: CentralArrangement, w):
     """Rays r_j of the cone over the walls w: a_i . r_j = [i == j].
 
     They are the columns of the inverse of the wall matrix, so r_j spans
@@ -359,7 +316,7 @@ def is_simple_chamber(a: CentralArrangement, chamber: SignVector) -> bool:
     w = sorted(walls(a, chamber))
     if len(w) != rk:
         return False
-    rays = _wall_rays(a, w)
+    rays = _rays_of_walls(a, w)
     if rays is None:
         return False
     e = [chamber.sign_of(l) for l in w]
@@ -410,34 +367,34 @@ def find_jump(a: CentralArrangement, p: int):
 
     When no over-populated flat has codim p + 1 the circuits at p and
     p + 1 are the same, so Sigma_p = Sigma_{p+1}, certified before any
-    circuit is computed.  Otherwise, up to CHAMBER_GUARD hyperplanes, the
-    circuit DFS lists Sigma_p in product((1, -1)) order.  Sigma_{p+1} lies
-    in Sigma_p, so equal counts certify None (Zaslavsky's count at
-    p + 1 = rank); otherwise the first member outside the DFS's
-    Sigma_{p+1} is the witness, certified by in_sigma_p: a certificate at
-    p + 1 and audited points at p.  Past the guard it raises GuardExceeded.
+    search.  Otherwise, up to CHAMBER_GUARD hyperplanes, one DFS walks
+    Sigma_p in product((1, -1)) order with a flag for "still in
+    Sigma_{p+1}", and the first member whose flag is off is the witness,
+    certified by in_sigma_p: a certificate at p + 1 and audited points at
+    p.  Without one, at p + 1 = rank the members must number Zaslavsky's
+    count.  Past the guard it raises GuardExceeded.
     """
     rk = a.rank()
     if not 2 <= p < rk:
         raise ValueError("need 2 <= p < rank")
-    n = a.n_hyperplanes
-    full = (1 << n) - 1
-    if len(_circuits_below(a, full, p)) == len(_circuits_below(a, full, p + 1)):
+    if not any(
+        f.codim == p + 1 and m.bit_count() > f.codim
+        for f, m in zip(a.full_lattice(), a.lattice_masks())
+    ):
         return None
+    n = a.n_hyperplanes
     if n > CHAMBER_GUARD:
         raise GuardExceeded(
             f"{n} hyperplanes exceeds the enumeration guard ({CHAMBER_GUARD})"
         )
-    members = _conformal_masks(a, p)
-    if p + 1 == rk and len(members) == zaslavsky_chambers(a):
-        return None
-    above = set(_conformal_masks(a, p + 1))
-    pos = next((m for m in members if m not in above), None)
-    if pos is not None:
-        return _certified_jump(a, _sign_vector(a, pos), p)
-    if p + 1 == rk:
+    members = 0
+    for pos, above in _conformal_masks(a, p, flag=p + 1):
+        if not above:
+            return _certified_jump(a, _sign_vector(a, pos), p)
+        members += 1
+    if p + 1 == rk and members != zaslavsky_chambers(a):
         raise VerificationError(
-            f"|Sigma_{p}| = {len(members)} differs from Zaslavsky's count with no jump"
+            f"|Sigma_{p}| = {members} differs from Zaslavsky's count with no jump"
         )
     return None
 

@@ -566,18 +566,6 @@ def circuit_table(a, i):
     return tuple(out)
 
 
-class EagerCircuitTable:
-    """circuit_table in place of the library's lazy table: built whole on
-    construction, iterated as (support, positive) pairs."""
-
-    def __init__(self, a, i):
-        self.pairs = circuit_table(a, i)
-
-    def __iter__(self):
-        it = iter(self.pairs)
-        return zip(it, it)
-
-
 def fraction_verify(cert, a, eps):
     """sum lambda_H e_H a_H = 0 by substitution in field arithmetic."""
     total = [Q(0)] * a.dim
@@ -586,3 +574,131 @@ def fraction_verify(cert, a, eps):
         s = eps.sign_of(lab)
         total = [t + lam * s * v for t, v in zip(total, nv)]
     return all(v == 0 for v in total)
+
+
+def circuits_below(a, mask, codim):
+    """[(lattice index, circuit_table)] of the over-populated flats of codim
+    at most codim whose closed sets lie in mask, in lattice order.  Every
+    signed circuit inside a flat's closed set spans exactly one of them."""
+    out = []
+    for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks())):
+        if f.codim <= codim and m & mask == m and m.bit_count() > f.codim:
+            out.append((i, circuit_table(a, i)))
+    return out
+
+
+def _conforms(pos, supp, cpos):
+    t = (pos ^ cpos) & supp
+    return t == 0 or t == supp
+
+
+def circuit_failure(a, pos, mask, codim):
+    """(lattice index, support) of the circuit the circuit path certifies
+    a failure with, for the sign vector with positive mask pos at the flat
+    with closed mask mask and codim codim, or None when none conforms.
+
+    The flat is the first in lattice order that a conforming circuit spans;
+    the circuit is the colex-first of those spanning it, the least support
+    mask, which is the one deleting labels from the highest down leaves.
+    """
+    for i, table in circuits_below(a, mask, codim):
+        supports = [s for s, c in zip(table[::2], table[1::2]) if _conforms(pos, s, c)]
+        if supports:
+            return i, min(supports)
+    return None
+
+
+def circuit_sigma_report(a, eps, p):
+    """in_sigma_p's unaudited report from the circuit tables: the first
+    codim-min(p, rank) flat in lattice order with a conforming circuit,
+    certified by sigma's circuit certificate of circuit_failure's circuit."""
+    from msarr.sigma import SigmaReport, _circuit_certificate
+
+    q = min(p, a.rank())
+    pos = a.label_mask(l for l in a.labels if eps.sign_of(l) > 0)
+    for f, m in zip(a.full_lattice(), a.lattice_masks()):
+        if f.codim != q:
+            continue
+        hit = circuit_failure(a, pos, m, q)
+        if hit is not None:
+            return SigmaReport(eps, p, "non-member", f, _circuit_certificate(a, eps, *hit), {})
+    return SigmaReport(eps, p, "member", None, None, {})
+
+
+def circuit_conformal_masks(a, codim):
+    """Positive-label masks of the sign vectors no signed circuit of an
+    over-populated flat of codim at most codim conforms to, in
+    product((1, -1)) order: a DFS over the labels, + before -, checking at
+    label i the circuits whose highest label is i."""
+    n = a.n_hyperplanes
+    ending = [[] for _ in range(n)]
+    for _, table in circuits_below(a, (1 << n) - 1, codim):
+        for supp, cpos in zip(table[::2], table[1::2]):
+            ending[supp.bit_length() - 1].append((supp, cpos))
+    out = []
+
+    def descend(i, pos):
+        if i == n:
+            out.append(pos)
+            return
+        for p in (pos | 1 << i, pos):
+            if not any(_conforms(p, s, c) for s, c in ending[i]):
+                descend(i + 1, p)
+
+    descend(0, 0)
+    return out
+
+
+def two_list_find_jump(a, p):
+    """find_jump by two circuit DFS lists: Sigma_p in product order, then
+    Sigma_{p+1} as a set; the first member of the first outside the second,
+    certified by in_sigma_p at p + 1, or None."""
+    above = set(circuit_conformal_masks(a, p + 1))
+    for pos in circuit_conformal_masks(a, p):
+        if pos not in above:
+            eps = SignVector(a.labels, tuple(1 if pos >> j & 1 else -1 for j in range(a.n_hyperplanes)))
+            rep = in_sigma_p(a, eps, p + 1)
+            return eps, rep.failing_flat, rep.certificate
+    return None
+
+
+def packet_member(eps, n):
+    """Sigma_2 of a moment-curve B(n, 2) by the packet condition of the
+    higher Bruhat order (Manin-Schechtman 1989; Ziegler 1993): for every
+    4-subset K of [n], the signs on the four 3-subsets of K, in
+    lexicographic order, change at most once.  This holds for the
+    library's orientation of alpha_I on moment-curve bases only; labels are
+    the 3-subsets written as digits, so n <= 9."""
+    for k in combinations(range(1, n + 1), 4):
+        signs = [eps.sign_of("".join(map(str, t))) for t in combinations(k, 3)]
+        if sum(s != t for s, t in zip(signs, signs[1:])) > 1:
+            return False
+    return True
+
+
+def packet_leaves(n, rng=None):
+    """Positive-label masks, over the 3-subsets of [n] in lexicographic
+    order, of the sign vectors that pass the packet condition, in
+    product((1, -1)) order: a DFS that checks each 4-subset once its last
+    3-subset has a sign.  With rng each node takes its two signs in a
+    random order instead, so the first leaf is a seeded draw."""
+    triples = list(combinations(range(1, n + 1), 3))
+    bit = {t: j for j, t in enumerate(triples)}
+    ending = [[] for _ in triples]
+    for k in combinations(range(1, n + 1), 4):
+        js = [bit[t] for t in combinations(k, 3)]
+        ending[js[-1]].append(js)
+    # 4-bit patterns, bit i the sign of the i-th 3-subset, changing at most once
+    monotone = {m for m in range(16) if sum((m >> i ^ m >> i + 1) & 1 for i in range(3)) <= 1}
+    stack = [(0, 0)]
+    while stack:
+        i, pos = stack.pop()
+        if i == len(triples):
+            yield pos
+            continue
+        for p in (pos, pos | 1 << i) if rng is None or rng.random() < 0.5 else (pos | 1 << i, pos):
+            if all(
+                (p >> j0 & 1 | (p >> j1 & 1) << 1 | (p >> j2 & 1) << 2 | (p >> j3 & 1) << 3) in monotone
+                for j0, j1, j2, j3 in ending[i]
+            ):
+                stack.append((i + 1, p))

@@ -12,7 +12,7 @@ import msarr.linalg
 import oracles
 from msarr.errors import GuardExceeded
 from msarr.fields import PHI, Q, Qrt5
-from msarr.linalg import Mat, _cut, _integral_ops, _primitive, _primitive_rt5, rank, rref
+from msarr.linalg import Mat, _cut, _integral_ops, _primitive, _primitive_rt5, kernel_basis, rank, rref
 from msarr import (
     CentralArrangement,
     SignVector,
@@ -253,6 +253,35 @@ def test_lattice_and_flat_of_form_no_echelon(name, ms63_very_generic, monkeypatc
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["falk", "h3", "witness-62", "non-essential"])
+def test_recorded_covers_and_cocircuits_match_the_lattice(name, ms63_very_generic):
+    """Each flat's recorded covers are the flats of one codim less whose
+    closed sets lie in its own, and on the labels of a flat X that covers
+    F, pos(F) is, up to sign, the sign vector of any point of F off the
+    hyperplanes outside F: an independent point from F's kernel basis."""
+    a = lattice_case(name, ms63_very_generic)[0]
+    flats, masks = a.full_lattice(), a.lattice_masks()
+    rng = random.Random(name)
+    signs = []
+    for f in flats:
+        basis = kernel_basis(Mat([list(a.normal(l)) for l in f.closed_set])) if f.closed_set else [
+            [int(i == j) for i in range(a.dim)] for j in range(a.dim)
+        ]
+        while True:
+            cs = [rng.randint(-9, 9) for _ in basis]
+            point = [sum(c * v[i] for c, v in zip(cs, basis)) for i in range(a.dim)]
+            values = [sum(c * x for c, x in zip(a.normal(l), point)) for l in a.labels]
+            if all((v == 0) == (l in f.closed_set) for v, l in zip(values, a.labels)):
+                break
+        signs.append(a.label_mask(l for v, l in zip(values, a.labels) if v > 0))
+    for x, (fx, mx) in enumerate(zip(flats, masks)):
+        below = [y for y, (fy, my) in enumerate(zip(flats, masks)) if fy.codim == fx.codim - 1 and my & mx == my]
+        assert sorted(a._covers[x]) == below
+        for y in below:
+            supp = mx & ~masks[y]
+            assert (a._pos[y] ^ signs[y]) & supp in (0, supp)
+
+
 @pytest.mark.parametrize("name", ["falk", "h3", "perturbed-62"])
 def test_cut_keeps_primitive_kernels_with_free_columns(name, ms63_very_generic):
     """Cutting the unit kernel by labels in turn keeps every vector in
@@ -406,51 +435,21 @@ def test_chamber_guard_fires():
         chamber_sign_vectors(big)
 
 
-def read_tables(tables):
-    """(lattice index, circuit pairs) of each table that holds a circuit,
-    every table read whole."""
-    return [(i, pairs) for i, pairs in ((i, tuple(t)) for i, t in tables) if pairs]
-
-
 @pytest.mark.parametrize("order", [(3, 2), (2, 3)], ids=["top-first", "top-last"])
 def test_circuits_below_is_kept_per_mask_and_codim(order):
-    """The full mask lists the tables of codim <= 2 or <= 3 whichever was
-    asked first; reading the top level first (as the chamber DFS does)
-    once made a later codim-2 read return the codim-3 tables, so find_jump
-    counted Sigma_3 as Sigma_2 and missed the very generic B(6,3) jump."""
+    """The DFS at codim 2 and at codim 3 lists the circuit oracle's masks
+    in its order, whichever is read first; reading the top level first (as
+    the chamber DFS does) once made a later codim-2 read see codim-3
+    circuits, so find_jump counted Sigma_3 as Sigma_2 and missed the very
+    generic B(6,3) jump."""
     fresh = lambda: random_very_generic(6, 3, seed=1).arrangement
     a = fresh()
-    full = (1 << a.n_hyperplanes) - 1
     assert a.rank() == 3
-    expected = {c: read_tables(msarr.arrangement._circuits_below(fresh(), full, c)) for c in order}
-    assert len(expected[2]) < len(expected[3])
+    expected = {c: oracles.circuit_conformal_masks(fresh(), c) for c in order}
+    assert len(expected[2]) > len(expected[3])
     for c in order:
-        got = msarr.arrangement._circuits_below(a, full, c)
-        assert read_tables(got) == expected[c]
-        assert all(a.full_lattice()[i].codim <= c for i, _ in got)
+        assert [pos for pos, _ in msarr.arrangement._conformal_masks(a, c)] == expected[c]
     assert find_jump(a, 2)[0].to_string() == "+-+++---++--+-+"
-
-
-def test_circuit_table_readers_interleave():
-    """Readers of one partial table, one abandoned and two interleaved,
-    each read the eager oracle's pairs in order; the table completes once."""
-    a = random_very_generic(6, 3, seed=1).arrangement
-    top = len(a.full_lattice()) - 1
-    table = msarr.arrangement._CircuitTable(a, top)
-    expected = oracles.circuit_table(a, top)
-    first = iter(table)
-    assert next(first) == expected[:2]
-    del first
-    r1, r2 = iter(table), iter(table)
-    got1 = [next(r1) for _ in range(3)]
-    got2 = [next(r2) for _ in range(5)]
-    got1 += [next(r1), next(r1)]
-    assert len(table.pairs) == 10
-    got2 += list(r2)
-    assert table._more is None and table.pairs == expected
-    got1 += list(r1)
-    for got in (got1, got2):
-        assert tuple(x for pair in got for x in pair) == expected
 
 
 # -- circuits ----------------------------------------------------------------

@@ -136,6 +136,26 @@ def test_bad_parameters_are_usage_errors(runner, arr52, args):
     assert "Invalid value" in r.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["perturb", "--n", "6", "--k", "2", "--denom", "0"],
+        ["perturb", "--n", "6", "--k", "2", "--denom", "-5"],
+        ["main-theorem", "--n", "6", "--k", "2", "--p", "3", "--denom", "0"],
+        ["witness", "--n", "4", "--k", "2"],
+        ["witness", "--n", "6", "--k", "0"],
+        ["perturb", "--n", "4", "--k", "2"],
+    ],
+)
+def test_construction_parameters_are_usage_errors(runner, args):
+    """A perturbation denominator below 2, or an (n, k) that no witness
+    construction covers, exits 2 with click's usage message, not a
+    ValueError traceback."""
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert "Invalid value" in r.output and "Traceback" not in r.output
+
+
 def test_module_entry_point_runs_the_cli(arr52):
     """python -m msarr runs the CLI from a checkout, with src on the path."""
     env = dict(os.environ, PYTHONPATH=str(Path(msarr.__file__).resolve().parents[1]))

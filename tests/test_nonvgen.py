@@ -264,7 +264,7 @@ def test_jump_without_vertex_points_matches_lp_oracle(monkeypatch):
 
 
 def test_jump_solves_no_lp(ms62_perturbed, w62, monkeypatch):
-    # every flat met is within CIRCUIT_BOUND, so no binding solves an LP
+    # every flat is decided by its covers' cocircuits, so no binding solves an LP
     a = ms62_perturbed.arrangement
     monkeypatch.setattr(a, "_consistency_cache", {}, raising=False)
     rows = count_strict_lps(monkeypatch)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import boolean, small_arrangements
-from msarr import arrangement, feasibility, sigma
-from msarr.arrangement import GordanCertificate, _conformal_masks
+from msarr import feasibility, sigma
+from msarr.arrangement import GordanCertificate, _conformal_masks, _sign_vector
 from msarr.errors import GuardExceeded, VerificationError
 from msarr.fields import Q, Qrt5, sign
 from msarr.linalg import Mat, rank
@@ -290,29 +290,46 @@ def test_circuit_verdicts_match_lp_on_random_arrangements(rt5, data):
     assert all(oracles.lp_realizes(a, ch, a.labels) for ch in chambers)
 
 
-@pytest.mark.parametrize("name", ["moment52", "h3-sub"])
-def test_over_bound_flats_take_the_lp_path(name, monkeypatch):
-    """With CIRCUIT_BOUND 0 every over-populated flat is over it: membership
-    then comes from strict LPs, and agrees with the circuits."""
+def perturbed73():
+    """witness_rank_r(7, 3) made very generic: 35 hyperplanes of rank 4."""
+    w = witness_rank_r(7, 3, seed=1)
+    return perturb_to_very_generic(w, seed=1)[0].arrangement
+
+
+@pytest.mark.parametrize("name", ["moment52", "h3-sub", "perturbed73"])
+def test_over_bound_flats_take_the_lp_path(name):
+    """No flat takes an LP path any more.  The cover test agrees with the
+    strict LP oracle on every flat of codim 2..rank of B(5,2) and of an
+    essential h3 subarrangement over Q(sqrt5), and at the top flat of a
+    perturbed B(7,3), 35 labels at codim 4, which once was over the
+    circuit tables' bound and solved an LP; no binding solves one."""
     if name == "moment52":
         a = independent_case(name, None)
-    else:
+    elif name == "h3-sub":
         h3 = build_ms(named_base("h3")).arrangement
         a = essential_sub(h3, ("1235", "1245", "1256", "1346", "1456", "2346"))
-    copy = CentralArrangement.from_json(a.to_json())
-    probes = probe_sign_vectors(a, random.Random(16), count=2)
-    expected = [in_sigma_p(a, eps, p).failing_flat for eps in probes for p in range(2, a.rank() + 1)]
-    monkeypatch.setattr(sigma, "CIRCUIT_BOUND", 0)
+    else:
+        a = perturbed73()
+    rng = random.Random(16)
+    probes = probe_sign_vectors(a, rng, count=2 if name == "perturbed73" else 4)
+    flats = [f for f in a.full_lattice() if f.codim >= 2]
+    if name == "perturbed73":
+        flats = flats[-1:]
+        assert len(flats[0].closed_set) == 35 and flats[0].codim == 4
     solved = feasibility.lp_count()
-    got = [in_sigma_p(copy, eps, p).failing_flat for eps in probes for p in range(2, a.rank() + 1)]
-    assert got == expected
-    assert feasibility.lp_count() > solved
+    got = [consistent_at(a, eps, f) for eps in probes for f in flats]
+    assert feasibility.lp_count() == solved
+    assert {ok for ok, _ in got} == {True, False}
+    for (ok, payload), (eps, f) in zip(got, [(e, f) for e in probes for f in flats]):
+        assert ok == oracles.lp_realizes(a, eps, f.closed_set)
+        assert realizes(a, eps, f.closed_set, payload) if ok else payload.verify(a, eps)
 
 
 def test_high_codim_flats_cost_polynomial_work():
-    """An independent flat of codim 20 takes 20 kernel vectors and no LP;
-    a codim-15 flat of 16 labels, whose table would expand 2^16 minors and
-    subsets, solves one LP.  A minors expansion would take minutes here."""
+    """An independent flat of codim 20 takes 20 kernel vectors, no LP and
+    no lattice.  A codim-10 flat of 11 labels reads the lattice, 2037
+    flats, and decides by its covers with no LP.  A minors expansion or a
+    lattice of the first would take minutes here."""
     rng = random.Random(17)
     while True:
         normals = [[rng.randint(-2, 2) for _ in range(20)] for _ in range(20)]
@@ -326,16 +343,18 @@ def test_high_codim_flats_cost_polynomial_work():
         ok, point = consistent_at(a, eps, x)
         assert ok and realizes(a, eps, a.labels, point)
     assert feasibility.lp_count() == solved
-    units = [[int(i == j) for j in range(15)] for i in range(15)]
-    b = CentralArrangement(15, [(f"e{i}", u) for i, u in enumerate(units)] + [("s", [1] * 15)])
+    assert a._lattice is None
+    units = [[int(i == j) for j in range(10)] for i in range(10)]
+    b = CentralArrangement(10, [(f"e{i}", u) for i, u in enumerate(units)] + [("s", [1] * 10)])
     top = b.flat_of(b.labels)
-    for signs in ((1,) * 16, (1,) * 15 + (-1,)):
+    for signs in ((1,) * 11, (1,) * 10 + (-1,)):
         eps = SignVector(b.labels, signs)
         solved = feasibility.lp_count()
         ok, payload = consistent_at(b, eps, top)
-        assert feasibility.lp_count() == solved + 1
+        assert feasibility.lp_count() == solved
         assert ok == oracles.lp_realizes(b, eps, b.labels) == (signs[-1] > 0)
         assert realizes(b, eps, b.labels, payload) if ok else payload.verify(b, eps)
+    assert len(b.full_lattice()) == 2037
 
 
 def test_membership_matches_naive_oracle_on_moment52():
@@ -558,7 +577,7 @@ def test_find_jump_without_codim_p1_circuits_lists_nothing(monkeypatch):
     """18 hyperplanes on the moment curve in R^4 have no over-populated
     flat of codim 3, so Sigma_2 = Sigma_3 is certified with no DFS."""
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the DFS ran")
 
     monkeypatch.setattr(sigma, "_conformal_masks", refuse)
@@ -568,14 +587,61 @@ def test_find_jump_without_codim_p1_circuits_lists_nothing(monkeypatch):
         find_jump(a, 3)
 
 
+def jump_case(name, ms62_perturbed):
+    """A fresh arrangement for the two-list pins: every find_jump input of
+    the suite the two-list search finishes on at desk scale."""
+    if name == "sum19":
+        return direct_sum(dfs_case("vg63-1"), build_ms(named_base("ms-3.1")).arrangement)
+    if name == "vg74-1":
+        return random_very_generic(7, 4, seed=1).arrangement
+    return table_case(name, ms62_perturbed)
+
+
+JUMP_INPUTS = ("boolean3", "moment52", "braid5", *LARGE, "vg63-3", "generic4", "rank4")
+JUMP_INPUTS += ("sum19", "vg74-1", "perturbed62")
+
+
+@pytest.mark.parametrize("name", JUMP_INPUTS)
+def test_find_jump_matches_the_two_list_search(name, ms62_perturbed):
+    """One DFS pass with a Sigma_{p+1} flag returns what listing Sigma_p
+    and then Sigma_{p+1} on whole circuit tables returned: the first
+    member of the first outside the second, or None, at every level."""
+    a = jump_case(name, ms62_perturbed)
+    for p in range(2, a.rank()):
+        assert find_jump(a, p) == oracles.two_list_find_jump(jump_case(name, ms62_perturbed), p)
+
+
+def test_find_jump_stops_at_the_first_jump_in_bounded_memory():
+    """22 random integer hyperplanes in R^4 have no over-populated flat
+    of codim 3, so Sigma_3 holds all 2^22 sign vectors; the DFS returns
+    the first one that no point realizes, without listing Sigma_3."""
+    import tracemalloc
+
+    rng = random.Random(1)
+    a = CentralArrangement(4, [(f"h{i}", [rng.randint(-99, 99) for _ in range(4)]) for i in range(22)])
+    assert not any(f.codim == 3 and len(f.closed_set) > 3 for f in a.full_lattice())
+    tracemalloc.start()
+    try:
+        eps, flat, cert = find_jump(a, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a list of Sigma_3 alone would take about 180 MB
+    first = next(
+        e for e in (SignVector(a.labels, s) for s in product((1, -1), repeat=22))
+        if not oracles.lp_realizes(a, e, a.labels)
+    )
+    assert eps == first and flat.codim == 4 and cert.verify(a, eps)
+
+
 def test_returned_jumps_carry_audited_points(w62, monkeypatch):
     """find_jump and jump_after_perturbation read the membership of the
     witness they return one level down with audit: a point at each flat
     of that codim, verified by substitution and kept.  A member verdict
     whose point fails substitution raises."""
     built = []
-    real = sigma._cocircuit_point
-    monkeypatch.setattr(sigma, "_cocircuit_point", lambda *args: built.append(1) or real(*args))
+    real = sigma._ray_point
+    monkeypatch.setattr(sigma, "_ray_point", lambda *args: built.append(1) or real(*args))
     a = dfs_case("vg63-1")
     eps, _, _ = find_jump(a, 2)
     assert len(built) == sum(1 for f in a.full_lattice() if f.codim == 2)
@@ -594,7 +660,7 @@ def test_returned_jumps_carry_audited_points(w62, monkeypatch):
     def broken(*args):
         raise VerificationError("ray sum misses a sign")
 
-    monkeypatch.setattr(sigma, "_cocircuit_point", broken)
+    monkeypatch.setattr(sigma, "_ray_point", broken)
     with pytest.raises(VerificationError):
         find_jump(dfs_case("vg63-1"), 2)
     m, _ = perturb_to_very_generic(w62, seed=0)
@@ -606,18 +672,47 @@ def test_sigma_counts_are_higher_bruhat_sizes():
     """|Sigma_2| of a moment-curve B(n, 2) is the size of the higher Bruhat
     order B(n, 2) (OEIS A006245): 62 for n = 5, 908 for n = 6 and 24 698
     for n = 7, whose 35 hyperplanes are past the enumeration guard, so the
-    circuit DFS counts it directly.  The top level is the chamber set,
+    DFS generator is counted directly.  The top level is the chamber set,
     counted by Zaslavsky."""
     for params, size in (([0, 1, 2, 3, 4], 62), ([0, 1, 2, 3, 4, 5], 908)):
         a = build_ms(moment_curve_base(params)).arrangement
         assert len(sigma_set(a, 2)) == size
         assert len(sigma_set(a, a.rank())) == zaslavsky_chambers(a)
     a = build_ms(moment_curve_base(range(7))).arrangement
-    assert len(_conformal_masks(a, 2)) == 24698
+    assert sum(1 for _ in _conformal_masks(a, 2)) == 24698
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sigma2_of_moment_bases_is_the_packet_order(n):
+    """Sigma_2 of a moment-curve B(n, 2) is the set of sign vectors that
+    pass the packet condition, in the same product order; 62 and 908."""
+    a = build_ms(moment_curve_base(range(n))).arrangement
+    leaves = list(oracles.packet_leaves(n))
+    assert len(leaves) == {5: 62, 6: 908}[n]
+    assert [pos for pos, _ in _conformal_masks(a, 2)] == leaves
+    assert len(sigma_set(a, 2)) == len(leaves)
+
+
+def test_sigma2_of_moment_b72_matches_the_packet_test():
+    """On moment B(7,2), 35 hyperplanes whose top flat was once decided by
+    an LP, in_sigma_p at p = 2 agrees with the packet test on seeded
+    members (packet DFS leaves) and on near-chamber and uniform vectors,
+    most of them non-members; every certificate verifies."""
+    a = build_ms(moment_curve_base(range(7))).arrangement
+    rng = random.Random(21)
+    probes = [_sign_vector(a, next(oracles.packet_leaves(7, rng))) for _ in range(12)]
+    probes += probe_sign_vectors(a, rng, count=24)
+    verdicts = []
+    for eps in probes:
+        rep = in_sigma_p(a, eps, 2)
+        assert rep.member == oracles.packet_member(eps, 7)
+        assert rep.member or rep.certificate.verify(a, eps)
+        verdicts.append(rep.member)
+    assert all(verdicts[:12]) and verdicts[12:].count(False) > 12
 
 
 def table_case(name, ms62_perturbed):
-    """A fresh arrangement (cold tables) for the lazy-table pins."""
+    """A fresh arrangement (cold caches) for the circuit-oracle pins."""
     if name == "perturbed62":
         return CentralArrangement.from_json(ms62_perturbed.arrangement.to_json())
     if name == "w62":
@@ -627,60 +722,56 @@ def table_case(name, ms62_perturbed):
 
 @pytest.mark.parametrize("order", ["partial-first", "dfs-first"])
 @pytest.mark.parametrize("name", ["moment52", "vg63-1", "perturbed62", "falk", "h3", "w62"])
-def test_lazy_circuit_tables_match_eager_oracle(name, order, ms62_perturbed, monkeypatch):
-    """Unaudited reads stop each non-member at its first conforming
-    circuit and leave the tables built that far, a prefix of the eager
-    oracle's; the chamber DFS reads them whole, after those reads or on
-    cold tables.  Then every over-populated flat's table equals the
-    oracle's and holds neither memo nor rows, and the reports, members
-    and non-members, and the DFS equal those on eager tables."""
+def test_lazy_circuit_tables_match_eager_oracle(name, order, ms62_perturbed):
+    """The cover test against the circuit path it replaced, on whole
+    circuit tables: every report, members and non-members with failing
+    flat and certificate, equals the circuit oracle's, and the chamber DFS
+    lists the oracle's masks in its order, whether the reads or the DFS
+    come first on a cold arrangement."""
     a = table_case(name, ms62_perturbed)
     rk = a.rank()
     probes = probe_sign_vectors(a, random.Random(19))
     queries = [(eps, p) for eps in probes for p in range(2, rk + 1)]
-    scout = table_case(name, ms62_perturbed)
-    outside = [(eps, p) for eps, p in queries if not in_sigma_p(scout, eps, p).member]
-    assert outside
-
-    def reads(arr):
-        return [in_sigma_p(arr, eps, p) for eps, p in outside + queries]
-
-    if order == "partial-first":
-        for eps, p in outside:
-            in_sigma_p(a, eps, p)
-        assert any(t._more is not None for t in a._circuit_tables.values())
-        for i, t in a._circuit_tables.items():
-            assert tuple(t.pairs) == oracles.circuit_table(a, i)[: len(t.pairs)]
-    masks = _conformal_masks(a, rk)
-    got = reads(a)
-    populated = [
-        i for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks())) if m.bit_count() > f.codim
-    ]
-    assert sorted(a._circuit_tables) == populated
-    for i in populated:
-        t = a._circuit_tables[i]
-        assert t._more is None and t.pairs == oracles.circuit_table(a, i)
-    monkeypatch.setattr(arrangement, "_CircuitTable", oracles.EagerCircuitTable)
-    eager = table_case(name, ms62_perturbed)
-    assert got == reads(eager)
-    assert masks == _conformal_masks(eager, rk)
+    oracle = table_case(name, ms62_perturbed)
+    expected = [oracles.circuit_sigma_report(oracle, eps, p) for eps, p in queries]
+    assert any(not rep.member for rep in expected)
+    masks = [pos for pos, _ in _conformal_masks(a, rk)] if order == "dfs-first" else None
+    assert [in_sigma_p(a, eps, p) for eps, p in queries] == expected
+    if masks is None:
+        masks = [pos for pos, _ in _conformal_masks(a, rk)]
+    assert masks == oracles.circuit_conformal_masks(oracle, rk)
 
 
 def test_jump_after_perturbation_builds_the_top_table_to_its_certificate(w62, monkeypatch):
-    """The jump's certificate is circuit 43 of the 3432 spanning the top
-    flat of the perturbed B(6,2), and the search reads the top table no
-    further; witness, flat and certificate equal those on eager tables."""
+    """The jump's failing flat is the top flat of the perturbed B(6,2),
+    and its certificate is one of the 3432 circuits spanning it; witness,
+    flat and certificate equal those of the circuit path, which decides
+    every non-member by whole circuit tables.  The library builds no
+    circuit table."""
+    tables = []
+    real_table = oracles.circuit_table
+    monkeypatch.setattr(oracles, "circuit_table", lambda *args: tables.append(1) or real_table(*args))
     m, _ = perturb_to_very_generic(w62, seed=0)
     got = jump_after_perturbation(m, w62, seed=0)
+    assert not tables
     a = m.arrangement
     top = len(a.full_lattice()) - 1
     assert got[1] == a.full_lattice()[top]
-    table = a._circuit_tables[top]
-    assert table._more is not None and len(table.pairs) // 2 <= 43
-    assert len(oracles.circuit_table(a, top)) // 2 == 3432
-    monkeypatch.setattr(arrangement, "_CircuitTable", oracles.EagerCircuitTable)
+    table = oracles.circuit_table(a, top)
+    assert len(table) // 2 == 3432
+    assert a.label_mask(got[2].support) in table[::2]
+    real_decide = sigma._decide
+
+    def circuit_decide(a, eps, x, mask, pos, audit):
+        hit = oracles.circuit_failure(a, pos, mask, x.codim)
+        if hit is None:
+            return real_decide(a, eps, x, mask, pos, audit)
+        return False, sigma._circuit_certificate(a, eps, *hit)
+
+    monkeypatch.setattr(sigma, "_decide", circuit_decide)
     m, _ = perturb_to_very_generic(w62, seed=0)
     assert jump_after_perturbation(m, w62, seed=0) == got
+    assert tables
 
 
 @pytest.mark.parametrize("name", ["moment52", "perturbed62", "h3"])
@@ -718,18 +809,18 @@ def test_certificate_verify_matches_fraction_substitution(name, ms62_perturbed):
 
 def test_unaudited_reads_build_no_point(monkeypatch):
     """in_sigma_p without audit, and find_jump when it certifies
-    equality, decide by circuits alone; the first audited read builds the
-    points, verified and equal to those of a cold arrangement, and later
-    reads reuse them."""
+    equality, decide by the cover test alone; the first audited read
+    builds the points, verified and equal to those of a cold arrangement,
+    and later reads reuse them."""
     built = []
-    real = sigma._cocircuit_point
-    monkeypatch.setattr(sigma, "_cocircuit_point", lambda *args: built.append(1) or real(*args))
+    real = sigma._ray_point
+    monkeypatch.setattr(sigma, "_ray_point", lambda *args: built.append(1) or real(*args))
     a = dfs_case("moment52")
     probes = probe_sign_vectors(a, random.Random(18))
     levels = range(2, a.rank() + 1)
     plain = [in_sigma_p(a, eps, p) for eps in probes for p in levels]
     assert find_jump(a, 2) is None
-    assert not built and not getattr(a, "_ray_tables", {})
+    assert not built
     assert all(not rep.witness_points for rep in plain)
     cold = dfs_case("moment52")
     for eps in probes:
@@ -738,7 +829,7 @@ def test_unaudited_reads_build_no_point(monkeypatch):
             assert rep.witness_points == in_sigma_p(cold, eps, p, audit=True).witness_points
             for f, point in rep.witness_points.items():
                 assert realizes(a, eps, f.closed_set, point)
-    assert built and a._ray_tables
+    assert built
     built.clear()
     for eps in probes:
         in_sigma_p(a, eps, a.rank(), audit=True)
