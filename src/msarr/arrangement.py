@@ -109,6 +109,11 @@ class SignVector:
     def sign_of(self, label) -> int:
         return self.signs[self._index[label]]
 
+    @cached_property
+    def positive_mask(self) -> int:
+        """The positive labels as an integer: bit i for the i-th label."""
+        return sum(1 << i for i, s in enumerate(self.signs) if s > 0)
+
     def as_dict(self):
         return dict(zip(self.labels, self.signs))
 
@@ -389,9 +394,25 @@ class CentralArrangement:
         )
         return self._flat(closed, free)
 
+    def _lattice_index(self, x: Flat):
+        """x's index in full_lattice(), found by its closed mask, or None
+        when x is not a flat of this arrangement: the closed set, codim and
+        X^perp must all match."""
+        if not x.closed_set <= self._bits.keys():
+            return None
+        self.full_lattice()
+        i = self._index.get(self.label_mask(x.closed_set))
+        return i if i is not None and _same_flat(self._lattice[i], x) else None
+
     def has_flat(self, x: Flat) -> bool:
         """x has this arrangement's labels and normals: its closed set and X^perp."""
-        return any(f == x and f.normal_space == x.normal_space for f in self.full_lattice())
+        return self._lattice_index(x) is not None
+
+
+def _same_flat(f: Flat, x: Flat) -> bool:
+    """f and x have one closed set, codim and X^perp; equal rows show the
+    last without an echelon form."""
+    return f is x or f == x and (f.rows == x.rows or f.normal_space == x.normal_space)
 
 
 def intersection_lattice(a: CentralArrangement, max_codim=None):

@@ -11,10 +11,12 @@ A flat is decided by one cover test on the lattice's cocircuit sign
 masks (an oriented matroid's covectors are the compositions of its
 cocircuits: eps is consistent at X iff the cocircuits of X's lines that
 conform to it cover X's labels), so the verdict is bit operations on
-label masks.  A non-member's certificate is a conforming circuit, found
-by deleting labels, with its relation from one fraction-free kernel
-vector; a member's interior point, a sum of oriented rays of the flats
-one codim down, is built only when a caller reads it.
+label masks.  in_sigma_p reads eps's positive mask once and runs that
+test on one precomputed tuple per level.  A non-member's certificate is a
+conforming circuit, found by deleting labels, with its relation from one
+fraction-free kernel vector; a member's interior point, a sum of oriented
+rays of the flats one codim down or, at an independent flat, one kernel
+vector, is built only when a caller reads it.
 
 The same test on the prefixes of the over-populated flats of codim at
 most q = min(p, rank) drives a DFS over the labels that lists Sigma_p
@@ -41,6 +43,7 @@ from .arrangement import (
     _covered,
     _eval,
     _pivot_rows,
+    _same_flat,
     _sign_vector,
     chamber_sign_vectors,
     zaslavsky_chambers,
@@ -77,11 +80,51 @@ class SigmaReport:
         return self.verdict == "member"
 
 
-def _cache(a: CentralArrangement) -> dict:
-    c = getattr(a, "_consistency_cache", None)
-    if c is None:
-        c = a._consistency_cache = {}
-    return c
+def _proofs(a: CentralArrangement) -> dict:
+    """Certificates and points kept on a, under (closed mask, positive mask
+    on it): at most the sum over flats F of 2^|closed F| entries."""
+    return a.__dict__.setdefault("_proof_cache", {})
+
+
+def _level(a: CentralArrangement, q: int) -> tuple:
+    """(lattice index, flat, closed mask, cocircuits) of each codim-q flat,
+    in lattice order; the cocircuits, on the whole closed set, of the flats
+    it covers when it is over-populated, None when it is independent.
+
+    Built on the first query at q and kept: at most F entries over all
+    levels and F*N cocircuit pairs, as for the covers.
+    """
+    levels = a.__dict__.setdefault("_levels", {})
+    level = levels.get(q)
+    if level is None:
+        level = levels[q] = tuple(
+            (i, f, m, _cocircuits(a, i, m) if m.bit_count() > q else None)
+            for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks()))
+            if f.codim == q
+        )
+    return level
+
+
+def _positive_mask(a: CentralArrangement, eps: SignVector) -> int:
+    """eps's positive labels as a's label mask; ValueError unless eps has
+    exactly a's labels, in any order."""
+    if eps.labels == a.labels:
+        return eps.positive_mask
+    if len(eps.labels) != a.n_hyperplanes or set(eps.labels) != set(a.labels):
+        raise ValueError("sign vector labels differ from the arrangement's")
+    return a.label_mask(l for l, s in zip(eps.labels, eps.signs) if s > 0)
+
+
+def _flat_index(a: CentralArrangement, x: Flat):
+    """(lattice index, closed mask) of the flat x of a, the index None when
+    x is independent: flat_of checks such an x, with no lattice.  ValueError
+    when x is not a flat of a."""
+    if len(x.closed_set) == x.codim:
+        if x.closed_set <= a._bits.keys() and _same_flat(a.flat_of(x.closed_set), x):
+            return None, a.label_mask(x.closed_set)
+    elif (i := a._lattice_index(x)) is not None:
+        return i, a.lattice_masks()[i]
+    raise ValueError("flat does not belong to this arrangement")
 
 
 def _lift(dim, pivots, y):
@@ -119,6 +162,18 @@ def _circuit_certificate(a, eps, i, supp):
     return cert
 
 
+def _verified_point(a, x, rows, pos, y):
+    """y, made primitive in x's pivot coordinates, lifted to a's once
+    substitution shows that each scaled row (a dict label index -> row)
+    has pos's sign there."""
+    ring = a._ring
+    y = _ring_primitive(y, a._rt5)
+    for j, row in rows.items():
+        if ring.sign(ring.dot(row, y)) != (1 if pos >> j & 1 else -1):
+            raise VerificationError(f"point misses the sign of {a.labels[j]!r} at {sorted(x.closed_set)}")
+    return _lift(a.dim, x.pivots, _ring_scalars(y, a._rt5))
+
+
 def _ray_point(a, x, mask, pos, flats):
     """An interior point of the local cone of the sign vector with positive
     mask pos at x, closed mask mask, in a's coordinates, given the label
@@ -127,8 +182,7 @@ def _ray_point(a, x, mask, pos, flats):
     Each flat's ray spans it modulo x, in x's pivot coordinates: the
     primitive kernel vector of its lexicographically first q - 1
     independent scaled rows, q the codim, oriented to the sign vector.
-    Their sum is interior; it is checked by substitution into every scaled
-    row.
+    Their sum is interior.
     """
     ring = a._ring
     q = x.codim
@@ -144,10 +198,46 @@ def _ray_point(a, x, mask, pos, flats):
         j = next(j for j in idx if not y >> j & 1)
         add = ring.add if (ring.sign(ring.dot(rows[j], ray)) > 0) == bool(pos >> j & 1) else ring.sub
         total = [add(u, v) for u, v in zip(total, ray)]
-    for j, row in rows.items():
-        if ring.sign(ring.dot(row, total)) != (1 if pos >> j & 1 else -1):
-            raise VerificationError(f"ray sum misses the sign of {a.labels[j]!r} at {sorted(x.closed_set)}")
-    return _lift(a.dim, x.pivots, _ring_scalars(total, a._rt5))
+    return _verified_point(a, x, rows, pos, total)
+
+
+def _point(a, x, i, mask, cocircuits, pos):
+    """An interior point of the local cone at x of the sign vector with
+    positive mask pos, which is consistent there; i, mask and cocircuits as
+    in a _level entry.
+
+    An over-populated x takes the sum of the oriented rays of the flats it
+    covers whose cocircuits conform (_ray_point).  An independent x has
+    invertible scaled rows R in its pivot coordinates, so the q x (q + 1)
+    system [R | -eps] has one kernel vector (y, t) with t != 0: oriented to
+    t > 0, R y = t eps has eps's signs, from one fraction-free kernel.
+    """
+    if cocircuits is not None:
+        masks = a._masks
+        covers = zip(a._covers[i], cocircuits)
+        return _ray_point(a, x, mask, pos, [masks[y] for y, (supp, c) in covers if (pos ^ c) & supp in (0, supp)])
+    ring = a._ring
+    idx = _bit_indices(mask)
+    rows = dict(zip(idx, _pivot_rows(a, x, idx)))
+    k = _ring_kernel([row + [ring.of_int(-1 if pos >> j & 1 else 1)] for j, row in rows.items()], ring)
+    if ring.sign(k[-1]) < 0:
+        k = [ring.sub(ring.zero, v) for v in k]
+    return _verified_point(a, x, rows, pos, k[:-1])
+
+
+def _proof(a, eps, i, x, mask, cocircuits, pos, member):
+    """eps's point at the flat x when member, else its certificate, built
+    on the first read and kept under (closed mask, positive mask on x)."""
+    proofs = _proofs(a)
+    key = (mask, pos & mask)
+    hit = proofs.get(key)
+    if hit is None:
+        if member:
+            hit = _point(a, x, i, mask, cocircuits, pos)
+        else:
+            hit = _circuit_certificate(a, eps, *_failing_circuit(a, i, pos))
+        proofs[key] = hit
+    return hit
 
 
 def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
@@ -162,60 +252,32 @@ def consistent_at(a: CentralArrangement, eps: SignVector, x: Flat):
       x iff the cocircuits of the flats x covers that conform to it cover
       x's labels.  A flat whose closed set numbers its codim q has
       independent normals, so every sign vector is consistent there.
-    - A member's point is the sum of the oriented rays of those flats,
-      one fraction-free kernel vector each.  An independent flat covers
-      its q subsets of q - 1 labels, so it reads no lattice.
+    - A member's point at an over-populated flat is the sum of the
+      oriented rays of those flats, one fraction-free kernel vector each;
+      at an independent flat it is one kernel vector of [rows | -eps],
+      and it reads no lattice.
     - A non-member's certificate comes from the first flat below x, in
       lattice order, where eps fails: its labels are deleted from the
       highest down while the rest still spans and fails, which leaves a
       conforming circuit, and one kernel vector gives its relation.
 
-    A point is built on the first read that returns it (this function,
-    or in_sigma_p with audit), never by an unaudited in_sigma_p; find_jump
-    and jump_after_perturbation audit only the witness they return.
-    Certificates and points are verified by substitution.  The results are
-    kept on the arrangement, one per flat and local sign pattern met, so
-    at most the sum over flats of 2^|closed set|; the lattice beside them
-    keeps pos(F), one int per flat, and the covers, at most F*N entries.
+    eps must have exactly a's labels, in any order, and x must be a flat
+    of a: ValueError otherwise.  Certificates and points are verified by
+    substitution and kept on the arrangement, with in_sigma_p's, under two
+    ints, x's closed mask and eps's positive mask on it: at most the sum
+    over flats F of 2^|closed F| entries.  Verdicts are a few bit
+    operations and are not kept.  Beside them are one int per SignVector
+    (its positive mask) and the level tuples, at most F entries (_level).
+    A point is built on the first read that returns it (this function, or
+    in_sigma_p with audit), never by an unaudited in_sigma_p.
     """
-    return _consistent(a, eps, x, audit=True)
-
-
-def _consistent(a, eps, x, audit):
-    """consistent_at's answer; a member's point is None unless audit."""
-    labels = sorted(x.closed_set)
-    if not labels:
-        return True, tuple(Q(0) for _ in range(a.dim))
-    signs = tuple(eps.sign_of(l) for l in labels)
-    cache = _cache(a)
-    key = (x.closed_set, signs)
-    hit = cache.get(key)
-    if hit is None or audit and hit[1] is None:
-        mask = a.label_mask(labels)
-        pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
-        hit = cache[key] = _decide(a, eps, x, mask, pos, audit)
-    return hit
-
-
-def _decide(a, eps, x, mask, pos, audit):
-    """(False, certificate), or (True, point) for a member, the point None
-    unless audit; on a cache miss or the first audited read of a member."""
-    independent = mask.bit_count() == x.codim
-    if not independent:
-        a.full_lattice()
-        i = a._index[mask]
-        if _fails(a, i, pos):
-            return False, _circuit_certificate(a, eps, *_failing_circuit(a, i, pos))
-    if not audit:
-        return True, None
-    if independent:
-        # x covers its q subsets of q - 1 labels, and each conforms
-        flats = [mask ^ 1 << j for j in _bit_indices(mask)]
-    else:
-        masks = a._masks
-        covers = zip(a._covers[i], _cocircuits(a, i, mask))
-        flats = [masks[y] for y, (supp, c) in covers if (pos ^ c) & supp in (0, supp)]
-    return True, _ray_point(a, x, mask, pos, flats)
+    pos = _positive_mask(a, eps)
+    i, mask = _flat_index(a, x)
+    if i is not None:
+        x = a.full_lattice()[i]
+    cocircuits = None if i is None else _cocircuits(a, i, mask)
+    member = cocircuits is None or _covered(mask, cocircuits, pos)
+    return member, _proof(a, eps, i, x, mask, cocircuits, pos, member)
 
 
 def _fails(a, i, pos):
@@ -251,19 +313,23 @@ def _failing_circuit(a, i, pos):
 
 def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = False) -> SigmaReport:
     """Membership of eps in Sigma_p, with certificate on failure and, when
-    audit, the interior point of each flat met on success."""
+    audit, the interior point of each flat met on success.
+
+    eps's positive mask is read once; each codim-min(p, rank) flat of the
+    level tuple is then one cover test, and the first that fails is the
+    failing flat.  Proofs come from consistent_at's cache.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
-    q = min(p, a.rank())
+    pos = _positive_mask(a, eps)
+    proofs = _proofs(a)
     witness = {}
-    for f in a.full_lattice():
-        if f.codim != q:
-            continue
-        ok, payload = _consistent(a, eps, f, audit)
-        if not ok:
-            return SigmaReport(eps, p, "non-member", f, payload, witness)
+    for i, f, mask, cocircuits in _level(a, min(p, a.rank())):
+        if cocircuits is not None and not _covered(mask, cocircuits, pos):
+            return SigmaReport(eps, p, "non-member", f, _proof(a, eps, i, f, mask, cocircuits, pos, False), witness)
         if audit:
-            witness[f] = payload
+            # a kept point is read here; _proof builds a missing one
+            witness[f] = proofs.get((mask, pos & mask)) or _proof(a, eps, i, f, mask, cocircuits, pos, True)
     return SigmaReport(eps, p, "member", None, None, witness)
 
 

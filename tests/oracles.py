@@ -15,7 +15,16 @@ from msarr.fields import Q, as_scalar, sign
 from msarr.linalg import Mat, det, kernel_basis, rank, rref
 from msarr.msbuild import _dt_labels, alpha_I
 from msarr.pnk import SetFamily, enumerate_pnk, is_pnk_element, pnk_rank
-from msarr.sigma import in_sigma_p, walls
+from msarr.sigma import (
+    SigmaReport,
+    _circuit_certificate,
+    _cocircuits,
+    _failing_circuit,
+    _fails,
+    _ray_point,
+    in_sigma_p,
+    walls,
+)
 
 # A flat as the echelon oracles build it: its own rref of X^perp, not the
 # library Flat's lazy view of it.
@@ -612,8 +621,6 @@ def circuit_sigma_report(a, eps, p):
     """in_sigma_p's unaudited report from the circuit tables: the first
     codim-min(p, rank) flat in lattice order with a conforming circuit,
     certified by sigma's circuit certificate of circuit_failure's circuit."""
-    from msarr.sigma import SigmaReport, _circuit_certificate
-
     q = min(p, a.rank())
     pos = a.label_mask(l for l in a.labels if eps.sign_of(l) > 0)
     for f, m in zip(a.full_lattice(), a.lattice_masks()):
@@ -623,6 +630,59 @@ def circuit_sigma_report(a, eps, p):
         if hit is not None:
             return SigmaReport(eps, p, "non-member", f, _circuit_certificate(a, eps, *hit), {})
     return SigmaReport(eps, p, "member", None, None, {})
+
+
+def per_flat_consistent(a, eps, x, audit):
+    """consistent_at by the per-flat path the level tuples replaced:
+    (verdict, proof) kept under the key (closed set, eps's signs on its
+    sorted labels), a member's point None unless audit.  An independent
+    flat's point is the sum of q oriented rays, one kernel vector for each
+    of its q subsets of q - 1 labels."""
+    labels = sorted(x.closed_set)
+    if not labels:
+        return True, tuple(Q(0) for _ in range(a.dim))
+    signs = tuple(eps.sign_of(l) for l in labels)
+    cache = a.__dict__.setdefault("_per_flat_cache", {})
+    key = (x.closed_set, signs)
+    hit = cache.get(key)
+    if hit is None or audit and hit[1] is None:
+        mask = a.label_mask(labels)
+        pos = a.label_mask(l for l, s in zip(labels, signs) if s > 0)
+        hit = cache[key] = _per_flat_decide(a, eps, x, mask, pos, audit)
+    return hit
+
+
+def _per_flat_decide(a, eps, x, mask, pos, audit):
+    independent = mask.bit_count() == x.codim
+    if not independent:
+        a.full_lattice()
+        i = a._index[mask]
+        if _fails(a, i, pos):
+            return False, _circuit_certificate(a, eps, *_failing_circuit(a, i, pos))
+    if not audit:
+        return True, None
+    if independent:
+        flats = [mask ^ 1 << j for j in _bit_indices(mask)]
+    else:
+        covers = zip(a._covers[i], _cocircuits(a, i, mask))
+        flats = [a._masks[y] for y, (supp, c) in covers if (pos ^ c) & supp in (0, supp)]
+    return True, _ray_point(a, x, mask, pos, flats)
+
+
+def per_flat_sigma_report(a, eps, p, audit=False):
+    """in_sigma_p by per_flat_consistent at each codim-min(p, rank) flat,
+    in lattice order."""
+    q = min(p, a.rank())
+    witness = {}
+    for f in a.full_lattice():
+        if f.codim != q:
+            continue
+        ok, payload = per_flat_consistent(a, eps, f, audit)
+        if not ok:
+            return SigmaReport(eps, p, "non-member", f, payload, witness)
+        if audit:
+            witness[f] = payload
+    return SigmaReport(eps, p, "member", None, None, witness)
 
 
 def circuit_conformal_masks(a, codim):

@@ -320,6 +320,25 @@ def test_flat_of_and_has_flat(br3):
     assert br3.flat_of([]).codim == 0
 
 
+def test_has_flat_looks_up_the_closed_mask():
+    """has_flat finds a flat through the lattice index of its closed mask,
+    with no scan of the lattice: every flat of the unperturbed witness
+    B(6,2) is found, and none of its perturbation's flats that it lacks."""
+    w = witness_rank_r(6, 2, seed=1)
+    a = build_ms(w.witness_base).arrangement
+    b = perturb_to_very_generic(w, seed=1)[0].arrangement
+    flats, foreign = a.full_lattice(), b.full_lattice()
+
+    class Unscannable(list):
+        def __iter__(self):
+            raise AssertionError("has_flat scanned the lattice")
+
+    a._lattice = Unscannable(flats)
+    assert all(a.has_flat(f) for f in flats)
+    lost = [f for f in foreign if f not in set(flats)]
+    assert lost and not any(a.has_flat(f) for f in lost)
+
+
 def test_intersection_lattice_truncation(br3):
     assert {f.codim for f in intersection_lattice(br3, max_codim=1)} == {0, 1}
 

@@ -202,11 +202,11 @@ JUMP_CASES = [(witness_rank_r, 6, 2, s) for s in range(4)] + [
 
 
 def jump_pair(make, n, k, s):
-    """(new, oracle) jump triples, each on a cold consistency cache."""
+    """(new, oracle) jump triples, each on a cold proof cache."""
     w = make(n, k, seed=s)
     m, _ = perturb_to_very_generic(w, seed=s)
     new = jump_after_perturbation(m, w, seed=s)
-    m.arrangement._consistency_cache = {}
+    m.arrangement._proof_cache = {}
     return new, oracles.lp_jump_after_perturbation(m, w, seed=s)
 
 
@@ -259,14 +259,14 @@ def test_jump_without_vertex_points_matches_lp_oracle(monkeypatch):
     assert calls
     assert sum(chamber_tests) > 2
     assert rows == [] and feasibility.lp_count() == solved
-    m.arrangement._consistency_cache = {}
+    m.arrangement._proof_cache = {}
     assert new == oracles.lp_jump_after_perturbation(m, w, seed=0)
 
 
 def test_jump_solves_no_lp(ms62_perturbed, w62, monkeypatch):
     # every flat is decided by its covers' cocircuits, so no binding solves an LP
     a = ms62_perturbed.arrangement
-    monkeypatch.setattr(a, "_consistency_cache", {}, raising=False)
+    monkeypatch.setattr(a, "_proof_cache", {}, raising=False)
     rows = count_strict_lps(monkeypatch)
     solved = feasibility.lp_count()
     jump_after_perturbation(ms62_perturbed, w62, seed=0)

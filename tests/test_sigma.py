@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import boolean, small_arrangements
-from msarr import feasibility, sigma
+from msarr import feasibility, nonvgen, sigma
 from msarr.arrangement import GordanCertificate, _conformal_masks, _sign_vector
 from msarr.errors import GuardExceeded, VerificationError
 from msarr.fields import Q, Qrt5, sign
@@ -274,7 +274,7 @@ def test_circuit_verdicts_match_lp_at_every_over_populated_flat(name, w62, ms62_
 
 
 @pytest.mark.parametrize("rt5", [False, True], ids=["Q", "Qrt5"])
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_circuit_verdicts_match_lp_on_random_arrangements(rt5, data):
     dim, normals = data.draw(small_arrangements(rt5, 7))
@@ -325,11 +325,11 @@ def test_over_bound_flats_take_the_lp_path(name):
         assert realizes(a, eps, f.closed_set, payload) if ok else payload.verify(a, eps)
 
 
-def test_high_codim_flats_cost_polynomial_work():
-    """An independent flat of codim 20 takes 20 kernel vectors, no LP and
-    no lattice.  A codim-10 flat of 11 labels reads the lattice, 2037
-    flats, and decides by its covers with no LP.  A minors expansion or a
-    lattice of the first would take minutes here."""
+def test_high_codim_flats_cost_polynomial_work(monkeypatch):
+    """An independent flat of codim 20 takes one kernel vector per point,
+    no LP and no lattice.  A codim-10 flat of 11 labels reads the lattice,
+    2037 flats, and decides by its covers with no LP.  A minors expansion
+    or a lattice of the first would take minutes here."""
     rng = random.Random(17)
     while True:
         normals = [[rng.randint(-2, 2) for _ in range(20)] for _ in range(20)]
@@ -338,10 +338,15 @@ def test_high_codim_flats_cost_polynomial_work():
     a = CentralArrangement(20, [(f"h{i}", v) for i, v in enumerate(normals)])
     x = a.flat_of(a.labels)
     assert x.codim == len(x.closed_set) == 20
+    kernels = []
+    real_kernel = sigma._ring_kernel
+    monkeypatch.setattr(sigma, "_ring_kernel", lambda *args: kernels.append(1) or real_kernel(*args))
     solved = feasibility.lp_count()
-    for eps in probe_sign_vectors(a, rng, count=2):
+    probes = probe_sign_vectors(a, rng, count=2)
+    for eps in probes:
         ok, point = consistent_at(a, eps, x)
         assert ok and realizes(a, eps, a.labels, point)
+    assert len(kernels) == len({eps.signs for eps in probes}) == 4
     assert feasibility.lp_count() == solved
     assert a._lattice is None
     units = [[int(i == j) for j in range(10)] for i in range(10)]
@@ -634,17 +639,31 @@ def test_find_jump_stops_at_the_first_jump_in_bounded_memory():
     assert eps == first and flat.codim == 4 and cert.verify(a, eps)
 
 
+def count_points(monkeypatch):
+    """Hooks sigma's one point builder: per point built, True for an
+    independent flat (cocircuits None), False for an over-populated one."""
+    built = []
+    real = sigma._point
+
+    def counted(a, x, i, mask, cocircuits, pos):
+        built.append(cocircuits is None)
+        return real(a, x, i, mask, cocircuits, pos)
+
+    monkeypatch.setattr(sigma, "_point", counted)
+    return built
+
+
 def test_returned_jumps_carry_audited_points(w62, monkeypatch):
     """find_jump and jump_after_perturbation read the membership of the
     witness they return one level down with audit: a point at each flat
     of that codim, verified by substitution and kept.  A member verdict
-    whose point fails substitution raises."""
-    built = []
-    real = sigma._ray_point
-    monkeypatch.setattr(sigma, "_ray_point", lambda *args: built.append(1) or real(*args))
+    whose point fails substitution raises.  Both kinds of flat, over-populated
+    and independent, get their point from the one point builder."""
+    built = count_points(monkeypatch)
     a = dfs_case("vg63-1")
     eps, _, _ = find_jump(a, 2)
     assert len(built) == sum(1 for f in a.full_lattice() if f.codim == 2)
+    assert set(built) == {True, False}
     m, _ = perturb_to_very_generic(w62, seed=0)
     b = m.arrangement
     del built[:]
@@ -658,9 +677,9 @@ def test_returned_jumps_carry_audited_points(w62, monkeypatch):
             assert realizes(arr, e, f.closed_set, point)
 
     def broken(*args):
-        raise VerificationError("ray sum misses a sign")
+        raise VerificationError("point misses a sign")
 
-    monkeypatch.setattr(sigma, "_ray_point", broken)
+    monkeypatch.setattr(sigma, "_point", broken)
     with pytest.raises(VerificationError):
         find_jump(dfs_case("vg63-1"), 2)
     m, _ = perturb_to_very_generic(w62, seed=0)
@@ -746,11 +765,18 @@ def test_jump_after_perturbation_builds_the_top_table_to_its_certificate(w62, mo
     """The jump's failing flat is the top flat of the perturbed B(6,2),
     and its certificate is one of the 3432 circuits spanning it; witness,
     flat and certificate equal those of the circuit path, which decides
-    every non-member by whole circuit tables.  The library builds no
-    circuit table."""
-    tables = []
+    every query by whole circuit tables: each report the search reads
+    has the verdict, failing flat and certificate of the circuit path.
+    The library builds no circuit table."""
+    tables = {}
     real_table = oracles.circuit_table
-    monkeypatch.setattr(oracles, "circuit_table", lambda *args: tables.append(1) or real_table(*args))
+
+    def table(a, i):
+        if (a, i) not in tables:
+            tables[a, i] = real_table(a, i)
+        return tables[a, i]
+
+    monkeypatch.setattr(oracles, "circuit_table", table)
     m, _ = perturb_to_very_generic(w62, seed=0)
     got = jump_after_perturbation(m, w62, seed=0)
     assert not tables
@@ -760,18 +786,115 @@ def test_jump_after_perturbation_builds_the_top_table_to_its_certificate(w62, mo
     table = oracles.circuit_table(a, top)
     assert len(table) // 2 == 3432
     assert a.label_mask(got[2].support) in table[::2]
-    real_decide = sigma._decide
+    reads = []
 
-    def circuit_decide(a, eps, x, mask, pos, audit):
-        hit = oracles.circuit_failure(a, pos, mask, x.codim)
-        if hit is None:
-            return real_decide(a, eps, x, mask, pos, audit)
-        return False, sigma._circuit_certificate(a, eps, *hit)
+    def circuit_checked(a, eps, p, audit=False):
+        rep = in_sigma_p(a, eps, p, audit)
+        expected = oracles.circuit_sigma_report(a, eps, p)
+        assert (rep.verdict, rep.failing_flat, rep.certificate) == (
+            expected.verdict, expected.failing_flat, expected.certificate
+        )
+        reads.append(rep.member)
+        return rep
 
-    monkeypatch.setattr(sigma, "_decide", circuit_decide)
+    monkeypatch.setattr(nonvgen, "in_sigma_p", circuit_checked)
     m, _ = perturb_to_very_generic(w62, seed=0)
     assert jump_after_perturbation(m, w62, seed=0) == got
-    assert tables
+    assert tables and set(reads) == {True, False}
+
+
+def permuted(eps, rng):
+    """eps with its labels, and their signs, in a shuffled order."""
+    order = list(range(len(eps.labels)))
+    rng.shuffle(order)
+    return SignVector(tuple(eps.labels[j] for j in order), tuple(eps.signs[j] for j in order))
+
+
+@pytest.mark.parametrize("name", ["moment52", "h3", "falk", "vg63-1", "w62", "perturbed62"])
+def test_level_tuples_match_the_per_flat_oracle(name, ms62_perturbed):
+    """in_sigma_p by one cover test per level-tuple entry against the
+    per-flat path it replaced (sorted-label keys, q kernels per independent
+    point), over Q and Q(sqrt5), at every level 2..rank, with eps in a's
+    label order and shuffled: equal verdicts, failing flats and
+    certificates, audited or not, the same flats with points, every point
+    verified by substitution, and equal points on over-populated flats."""
+    a = table_case(name, ms62_perturbed)
+    oracle = table_case(name, ms62_perturbed)
+    rng = random.Random(23)
+    verdicts = set()
+    for eps in probe_sign_vectors(a, random.Random(22)):
+        for e in (eps, permuted(eps, rng)):
+            for p in range(2, a.rank() + 1):
+                old = oracles.per_flat_sigma_report(oracle, eps, p, audit=True)
+                plain = in_sigma_p(a, e, p)
+                rep = in_sigma_p(a, e, p, audit=True)
+                assert rep.sign_vector == plain.sign_vector == e
+                for got in (plain, rep):
+                    assert (got.verdict, got.failing_flat, got.certificate) == (
+                        old.verdict, old.failing_flat, old.certificate
+                    )
+                assert not plain.witness_points
+                assert rep.witness_points.keys() == old.witness_points.keys()
+                for f, point in rep.witness_points.items():
+                    assert realizes(a, eps, f.closed_set, point)
+                    if len(f.closed_set) > f.codim:
+                        assert point == old.witness_points[f]
+                assert rep.member or rep.certificate.verify(a, e)
+                verdicts.add(rep.member)
+    assert verdicts == {True, False}
+
+
+def test_queries_need_exactly_the_arrangements_labels():
+    """A sign vector missing a label, or carrying one a lacks, is rejected
+    by in_sigma_p and consistent_at; one with a's labels in another order
+    is read by label."""
+    a = random_very_generic(6, 3, seed=1).arrangement
+    eps = SignVector(a.labels, tuple(1 if j % 3 else -1 for j in range(a.n_hyperplanes)))
+    short = SignVector(a.labels[:-1], eps.signs[:-1])
+    extra = SignVector(a.labels + ("zz",), eps.signs + (1,))
+    twice = SignVector(a.labels[:-1] + a.labels[:1], eps.signs)
+    flats = [a.full_lattice()[-1], next(f for f in a.full_lattice() if len(f.closed_set) == f.codim == 2)]
+    for bad in (short, extra, twice):
+        with pytest.raises(ValueError):
+            in_sigma_p(a, bad, 2)
+        for x in flats:
+            with pytest.raises(ValueError):
+                consistent_at(a, bad, x)
+    shuffled = permuted(eps, random.Random(24))
+    for p in (2, 3):
+        assert in_sigma_p(a, shuffled, p).verdict == in_sigma_p(a, eps, p).verdict
+    for x in flats:
+        assert consistent_at(a, shuffled, x) == consistent_at(a, eps, x)
+
+
+def test_consistent_at_needs_a_flat_of_the_arrangement():
+    """An over-populated flat of the unperturbed witness B(6,2) that its
+    perturbation (same labels) lacks is rejected, as are independent flats
+    whose labels span more in a, have other normals, or are not a's; an
+    independent one is checked with no lattice."""
+    w = witness_rank_r(6, 2, seed=1)
+    plain = build_ms(w.witness_base).arrangement
+    b = perturb_to_very_generic(w, seed=1)[0].arrangement
+    assert plain.labels == b.labels
+    eps = SignVector(b.labels, (1,) * b.n_hyperplanes)
+    lost = [f for f in plain.full_lattice() if len(f.closed_set) > f.codim and not b.has_flat(f)]
+    assert lost and any(b.label_mask(f.closed_set) not in b._index for f in lost)
+    for x in lost:
+        with pytest.raises(ValueError):
+            consistent_at(b, eps, x)
+    a = CentralArrangement(3, [("x", [1, 0, 0]), ("y", [0, 1, 0]), ("z", [0, 0, 1])])
+    spans_more = CentralArrangement(3, [("x", [1, 0, 0]), ("y", [0, 1, 0]), ("z", [1, 1, 0])])
+    other_normal = CentralArrangement(3, [("x", [1, 1, 0]), ("y", [0, 1, 0]), ("z", [0, 0, 1])])
+    other_label = CentralArrangement(3, [("x", [1, 0, 0]), ("w", [0, 1, 0]), ("z", [0, 0, 1])])
+    eps = SignVector(spans_more.labels, (1, -1, 1))
+    for c, x in ((spans_more, a.flat_of(["x", "y"])), (other_normal, a.flat_of(["x"]))):
+        with pytest.raises(ValueError):
+            consistent_at(c, eps, x)
+    with pytest.raises(ValueError):
+        consistent_at(a, eps, other_label.flat_of(["w"]))
+    ok, point = consistent_at(a, eps, a.flat_of(["x", "z"]))
+    assert ok and realizes(a, eps, ("x", "z"), point)
+    assert a._lattice is None
 
 
 @pytest.mark.parametrize("name", ["moment52", "perturbed62", "h3"])
@@ -810,11 +933,9 @@ def test_certificate_verify_matches_fraction_substitution(name, ms62_perturbed):
 def test_unaudited_reads_build_no_point(monkeypatch):
     """in_sigma_p without audit, and find_jump when it certifies
     equality, decide by the cover test alone; the first audited read
-    builds the points, verified and equal to those of a cold arrangement,
-    and later reads reuse them."""
-    built = []
-    real = sigma._ray_point
-    monkeypatch.setattr(sigma, "_ray_point", lambda *args: built.append(1) or real(*args))
+    builds the points of both kinds of flat, verified and equal to those
+    of a cold arrangement, and later reads reuse them."""
+    built = count_points(monkeypatch)
     a = dfs_case("moment52")
     probes = probe_sign_vectors(a, random.Random(18))
     levels = range(2, a.rank() + 1)
@@ -829,7 +950,7 @@ def test_unaudited_reads_build_no_point(monkeypatch):
             assert rep.witness_points == in_sigma_p(cold, eps, p, audit=True).witness_points
             for f, point in rep.witness_points.items():
                 assert realizes(a, eps, f.closed_set, point)
-    assert built
+    assert set(built) == {True, False}
     built.clear()
     for eps in probes:
         in_sigma_p(a, eps, a.rank(), audit=True)
