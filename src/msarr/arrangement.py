@@ -18,8 +18,9 @@ Every lattice decision runs on integers: each normal gets one canonical
 integral form at construction (a primitive integer vector over Q, a pair
 (A, B) for A + B*sqrt5 over Q(sqrt5)), which also rejects parallel
 hyperplanes; a hyperplane contains a flat iff its integral normal is
-orthogonal to an integer basis of the flat, and a cover's basis and pivots
-come from its parent's by one fraction-free step, with no echelon form.
+orthogonal to an integer basis of the flat, in rank coordinates (the pivot
+columns of the normals), and a cover's basis and pivots come from its
+parent's by one fraction-free step, with no echelon form.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .linalg import (
     _integral_ops,
     _ring_row,
     kernel_basis,
-    rank,
     rref,
 )
 
@@ -207,8 +207,6 @@ class CentralArrangement:
             isinstance(v, Qrt5) and v.b != 0 for nv in normals.values() for v in nv
         )
         self._integral = {l: _integral(nv, self._rt5) for l, nv in normals.items()}
-        units = [[Q(int(i == j)) for i in range(dim)] for j in range(dim)]
-        self._units = [_integral(u, self._rt5) for u in units]  # the top flat's kernel
         self._bits = {l: 1 << i for i, l in enumerate(labels)}
         self._ring = _RING_RT5 if self._rt5 else _RING_Q
         self._reject_parallel()
@@ -216,6 +214,8 @@ class CentralArrangement:
         self._lattice = None
         self._masks = None
         self._rank = None
+        self._cols = None  # P, the pivot columns of the normals
+        self._ints = None  # label -> integral normal restricted to P
         self._chambers = None
         self._scaled = None
         self._index = None  # closed mask -> lattice index
@@ -253,9 +253,32 @@ class CentralArrangement:
         return len(self.labels)
 
     def rank(self) -> int:
+        """|P|, the number of pivot columns of the normals."""
         if self._rank is None:
-            self._rank = rank(self.normal_matrix()) if self.labels else 0
+            self._essential()
         return self._rank
+
+    def _essential(self):
+        """The integral normals restricted to P, by label: rank coordinates.
+
+        One pass of _cut steps cuts the unit vectors by every label, and P,
+        the complement of the free columns left, is the rref pivots of the
+        normals.  On every normal a column outside P is a combination of
+        earlier P columns, so restriction to P is injective on the row
+        space and keeps every dependency.  On the normals, each kernel
+        vector of a build in rank coordinates acts as a positive multiple
+        of the all-coordinate build's vector with the same free column in
+        P, so images, classes, pos and closed sets agree, and free columns
+        map back through P.
+        """
+        if self._ints is None:
+            ints, rt5 = self._integral, self._rt5
+            free = _cut_units(self.dim, ints.values(), rt5)[1]
+            cols = self._cols = tuple(c for c in range(self.dim) if c not in free)
+            self._rank = len(cols)
+            pick = lambda v: tuple(v[c] for c in cols)
+            self._ints = {l: tuple(map(pick, n)) if rt5 else pick(n) for l, n in ints.items()}
+        return self._ints
 
     def __repr__(self):
         return f"CentralArrangement(dim={self.dim}, n={self.n_hyperplanes})"
@@ -311,9 +334,9 @@ class CentralArrangement:
         return self._masks
 
     def _flat(self, mask, free):
-        """The flat with closed label mask mask whose integer basis has the
-        free columns free."""
-        pivots = tuple(c for c in range(self.dim) if c not in free)
+        """The flat with closed label mask mask whose integer basis in rank
+        coordinates has the free columns free."""
+        pivots = tuple(c for i, c in enumerate(self._cols) if i not in free)
         closed = [l for l in self.labels if self._bits[l] & mask]
         return Flat(frozenset(closed), len(pivots), pivots, tuple(self._normals[l] for l in closed))
 
@@ -321,10 +344,11 @@ class CentralArrangement:
         """BFS on codim: the covers of F are the classes of labels off F
         whose images under n -> (n . k for k in K) are proportional.
 
-        K is an integer basis of the flat F, so the map is linear with
-        kernel X^perp and two labels cut the same cover iff their images
-        span one line.  A new cover's basis is a _cut of K by its class's
-        image; bases are kept for one level only.
+        K is an integer basis of the flat F in rank coordinates (see
+        _essential), rank - codim vectors of length rank, so the map is
+        linear with kernel X^perp and two labels cut the same cover iff
+        their images span one line.  A new cover's basis is a _cut of K by
+        its class's image; bases are kept for one level only.
 
         Beside the flats it records, one int per flat F, pos(F): the labels
         positive at F's point k_1 + t k_2 + t^2 k_3 + ... as t -> 0+, each
@@ -335,11 +359,11 @@ class CentralArrangement:
         F flats and N labels.
         """
         dot, key, zero, comb = _integral_ops(self._rt5)
-        ints, bits = self._integral, self._bits
+        ints, bits, r = self._essential(), self._bits, self._rank
         flip = self.label_mask(l for l in self.labels if next(v for v in self._normals[l] if v) < 0)
-        by_mask = {0: self._flat(0, range(self.dim))}
+        by_mask = {0: self._flat(0, range(r))}
         pos_of, below = {}, {0: []}
-        frontier = [(0, self._units, tuple(range(self.dim)))]
+        frontier = [(0, *_cut_units(r, (), self._rt5))]
         while frontier:
             newly = []
             for mask, ker, free in frontier:
@@ -381,17 +405,14 @@ class CentralArrangement:
         return [f for f in self.full_lattice() if f.codim <= max_codim]
 
     def flat_of(self, labels) -> Flat:
-        """The flat determined by a set of hyperplane labels."""
-        dot, _, zero, comb = _integral_ops(self._rt5)
-        ker, free = self._units, tuple(range(self.dim))
-        for l in labels:
-            self.normal(l)  # rejects an unknown label
-            images = [dot(self._integral[l], k) for k in ker]
-            if any(v != zero for v in images):
-                ker, free = _cut(ker, free, images, zero, comb)
-        closed = self.label_mask(
-            l for l in self.labels if all(dot(self._integral[l], k) == zero for k in ker)
-        )
+        """The flat determined by a set of hyperplane labels: the rank-
+        coordinate unit vectors cut by their integral normals in turn, then
+        closed by the labels orthogonal to the basis left."""
+        ints, r, labels = self._essential(), self._rank, list(labels)
+        self.label_mask(labels)  # rejects an unknown label
+        ker, free = _cut_units(r, [ints[l] for l in labels], self._rt5)
+        dot, _, zero, _ = _integral_ops(self._rt5)
+        closed = self.label_mask(l for l in self.labels if all(dot(ints[l], k) == zero for k in ker))
         return self._flat(closed, free)
 
     def _lattice_index(self, x: Flat):
@@ -407,6 +428,19 @@ class CentralArrangement:
     def has_flat(self, x: Flat) -> bool:
         """x has this arrangement's labels and normals: its closed set and X^perp."""
         return self._lattice_index(x) is not None
+
+
+def _cut_units(dim, normals, rt5):
+    """The integral unit vectors of dim coordinates and their free columns,
+    after a _cut by each integral normal off the flat they span, in turn."""
+    dot, _, zero, comb = _integral_ops(rt5)
+    ker = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    ker, free = [(u, (0,) * dim) for u in ker] if rt5 else ker, tuple(range(dim))
+    for n in normals:
+        images = [dot(n, k) for k in ker]
+        if any(v != zero for v in images):
+            ker, free = _cut(ker, free, images, zero, comb)
+    return ker, free
 
 
 def _same_flat(f: Flat, x: Flat) -> bool:
@@ -595,17 +629,22 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:
-    """Chamber count as sum of |mu(bottom, X)| over the full lattice.
+    """Chamber count as sum of |mu(bottom, X)| over the full lattice, mu by
+    Weisner's theorem over the recorded covers.
 
-    Flats are ordered by containment of their closed sets (which determine
-    them), tested on the label masks.  A closed set contains only those of
-    flats of smaller codim, and the lattice lists those first.
+    Weisner (Rota 1964): for an atom h <= X, the mu(0, Y) over the Y <= X
+    with Y v h = X sum to 0.  Take h a label of X.  Besides X itself, such
+    a Y misses h, and then X covers Y: semimodularity gives
+    rank(Y v h) <= rank(Y) + 1.  Conversely, if X covers Y and h misses Y,
+    then Y < Y v h <= X.  So mu(0, X) = -sum of mu(0, Y) over the flats Y
+    that X covers and that miss h; a._covers lists them, before X.
     """
-    masks = a.lattice_masks()
+    masks, covers = a.lattice_masks(), a._covers
     mu = [1]
-    for x in masks[1:]:
-        mu.append(-sum(m for y, m in zip(masks, mu) if y & x == y))
-    return sum(abs(m) for m in mu)
+    for x in range(1, len(masks)):
+        h = masks[x] & -masks[x]
+        mu.append(-sum(mu[y] for y in covers[x] if not masks[y] & h))
+    return sum(map(abs, mu))
 
 
 def circuits(a: CentralArrangement, max_size: int):

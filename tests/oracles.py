@@ -8,11 +8,11 @@ import random
 from collections import namedtuple
 from itertools import combinations, permutations, product
 
-from msarr.arrangement import SignVector, _bit_indices, _pivot_rows
+from msarr.arrangement import Flat, SignVector, _bit_indices, _pivot_rows
 from msarr.errors import RetryExhausted
 from msarr.feasibility import _phase1, strict_feasibility
 from msarr.fields import Q, as_scalar, sign
-from msarr.linalg import Mat, det, kernel_basis, rank, rref
+from msarr.linalg import Mat, _cut, _integral, _integral_ops, det, kernel_basis, rank, rref
 from msarr.msbuild import _dt_labels, alpha_I
 from msarr.pnk import SetFamily, enumerate_pnk, is_pnk_element, pnk_rank
 from msarr.sigma import (
@@ -100,6 +100,74 @@ def echelon_lattice(arrangement):
         by_key.update(newly)
         frontier = list(newly.values())
     return sorted(by_key.values(), key=lambda f: (f.codim, sorted(f.closed_set)))
+
+
+def _full_units(a):
+    return [_integral([Q(int(i == j)) for i in range(a.dim)], a._rt5) for j in range(a.dim)]
+
+
+def _full_flat(a, mask, free):
+    pivots = tuple(c for c in range(a.dim) if c not in free)
+    closed = [l for l in a.labels if a._bits[l] & mask]
+    return Flat(frozenset(closed), len(pivots), pivots, tuple(a.normal(l) for l in closed))
+
+
+def full_coordinate_lattice(a):
+    """(flats, masks, pos, covers) of the lattice built in all dim
+    coordinates, on the integral normals and the dim unit vectors: the
+    builder before it moved to rank coordinates, with its BFS, classes,
+    cuts, pos(F) and covers."""
+    dot, key, zero, comb = _integral_ops(a._rt5)
+    ints, bits = a._integral, a._bits
+    flip = a.label_mask(l for l in a.labels if next(v for v in a.normal(l) if v) < 0)
+    by_mask = {0: _full_flat(a, 0, range(a.dim))}
+    pos_of, below = {}, {0: []}
+    frontier = [(0, _full_units(a), tuple(range(a.dim)))]
+    while frontier:
+        newly = []
+        for mask, ker, free in frontier:
+            classes = {}
+            pos = 0
+            for lab in a.labels:
+                b = bits[lab]
+                if b & mask:
+                    continue
+                images = [dot(ints[lab], k) for k in ker]
+                line, positive = key(images)
+                if positive:
+                    pos |= b
+                cls = classes.get(line)
+                if cls is None:
+                    classes[line] = [images, b]
+                else:
+                    cls[1] |= b
+            pos_of[mask] = pos ^ (flip & ~mask)
+            for images, cls in classes.values():
+                cmask = mask | cls
+                if cmask not in below:
+                    cker, cfree = _cut(ker, free, images, zero, comb)
+                    by_mask[cmask] = _full_flat(a, cmask, cfree)
+                    below[cmask] = []
+                    newly.append((cmask, cker, cfree))
+                below[cmask].append(mask)
+        frontier = newly
+    order = sorted(by_mask, key=lambda m: (by_mask[m].codim, by_mask[m].sorted_labels()))
+    index = {m: i for i, m in enumerate(order)}
+    covers = tuple(tuple(index[m] for m in below[x]) for x in order)
+    return [by_mask[m] for m in order], tuple(order), tuple(pos_of[m] for m in order), covers
+
+
+def full_coordinate_flat_of(a, labels):
+    """flat_of in all dim coordinates: the unit vectors cut by the labels'
+    integral normals in turn, closed by the labels orthogonal to the rest."""
+    dot, _, zero, comb = _integral_ops(a._rt5)
+    ker, free = _full_units(a), tuple(range(a.dim))
+    for l in labels:
+        images = [dot(a._integral[l], k) for k in ker]
+        if any(v != zero for v in images):
+            ker, free = _cut(ker, free, images, zero, comb)
+    closed = a.label_mask(l for l in a.labels if all(dot(a._integral[l], k) == zero for k in ker))
+    return _full_flat(a, closed, free)
 
 
 def span_closure_flat(arrangement, labels):
@@ -380,6 +448,16 @@ def enumerate_pnk_by_check(n, k, max_rank):
     return [
         f for level in results for f in sorted(level, key=lambda f: [sorted(m) for m in f.members])
     ]
+
+
+def scan_zaslavsky_chambers(a):
+    """Sum of |mu(bottom, X)|, each mu(bottom, X) minus the sum over every
+    flat whose closed mask lies in X's: F^2 subset tests on label masks."""
+    masks = a.lattice_masks()
+    mu = [1]
+    for x in masks[1:]:
+        mu.append(-sum(m for y, m in zip(masks, mu) if y & x == y))
+    return sum(abs(m) for m in mu)
 
 
 def set_zaslavsky_chambers(a):

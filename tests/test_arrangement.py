@@ -12,7 +12,7 @@ import msarr.linalg
 import oracles
 from msarr.errors import GuardExceeded
 from msarr.fields import PHI, Q, Qrt5
-from msarr.linalg import Mat, _cut, _integral_ops, _primitive, _primitive_rt5, kernel_basis, rank, rref
+from msarr.linalg import Mat, _cut, _integral, _integral_ops, _primitive, _primitive_rt5, kernel_basis, rank, rref
 from msarr import (
     CentralArrangement,
     SignVector,
@@ -169,6 +169,76 @@ def test_lattice_matches_echelon_oracle(name, iso, ms63_very_generic):
         assert lattice_isomorphic_to_pnk(m) == iso
 
 
+RANK_COORDINATE_CASES = [
+    "moment-52", "ms63", "h3", "falk", "witness-62", "perturbed-62",
+    "br3", "boolean-4", "non-prefix", "non-prefix-rt5", "empty-0", "empty-3",
+]
+
+
+def rank_coordinate_case(name, ms63):
+    if name == "br3":
+        return CentralArrangement(3, [("xy", [1, -1, 0]), ("xz", [1, 0, -1]), ("yz", [0, 1, -1])])
+    if name == "boolean-4":
+        return boolean(4)
+    if name == "non-prefix":  # rank 2 with pivot columns (0, 2)
+        return CentralArrangement(3, [("a", [1, 2, 3]), ("b", [2, 4, 7]), ("c", [3, 6, 10])])
+    if name == "non-prefix-rt5":  # the same over Q(sqrt5)
+        u, v = [Q(1), Q(2), PHI], [PHI, 2 * PHI, Q(1)]
+        return CentralArrangement(3, [("a", u), ("b", v), ("c", [x + y for x, y in zip(u, v)])])
+    if name.startswith("empty-"):
+        return CentralArrangement(int(name[-1]), [])
+    return lattice_case(name, ms63)[0]
+
+
+def full_flat_data(flats):
+    return [(f.closed_set, f.codim, f.pivots, f.rows) for f in flats]
+
+
+@pytest.mark.parametrize("name", RANK_COORDINATE_CASES)
+def test_rank_coordinate_lattice_matches_the_full_coordinate_builder(name, ms63_very_generic):
+    """The lattice built in the rank coordinates P equals the one built in
+    all coordinates: every flat with its pivots and rows, the masks, pos(F)
+    and covers; so does flat_of on seeded label sets.  rank() is |P|, and P
+    is the essentialization's pivot columns."""
+    a = _fresh(rank_coordinate_case(name, ms63_very_generic))
+    flats, masks, pos, covers = oracles.full_coordinate_lattice(a)
+    assert full_flat_data(a.full_lattice()) == full_flat_data(flats)
+    assert (a._masks, a._pos, a._covers) == (masks, pos, covers)
+    assert a.rank() == rank(a.normal_matrix())
+    assert a._cols == essentialize(a)[1].pivots
+    rng = random.Random(name)
+    for _ in range(20 if a.labels else 1):
+        labels = rng.sample(a.labels, rng.randint(0, min(5, len(a.labels))))
+        got, want = a.flat_of(labels), oracles.full_coordinate_flat_of(a, labels)
+        assert full_flat_data([got]) == full_flat_data([want])
+
+
+@pytest.mark.parametrize("rt5", [False, True], ids=["Q", "Qrt5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_coordinate_lattice_matches_the_full_coordinate_builder_on_random_arrangements(rt5, data):
+    dim, normals = data.draw(small_arrangements(rt5, 6))
+    assume(all(rank(Mat([u, v])) == 2 for i, u in enumerate(normals) for v in normals[:i]))
+    a = CentralArrangement(dim, [(f"h{i}", v) for i, v in enumerate(normals)])
+    flats, masks, pos, covers = oracles.full_coordinate_lattice(a)
+    assert full_flat_data(a.full_lattice()) == full_flat_data(flats)
+    assert (a._masks, a._pos, a._covers) == (masks, pos, covers)
+    assert a.rank() == rank(a.normal_matrix())
+    assert zaslavsky_chambers(a) == oracles.scan_zaslavsky_chambers(a)
+
+
+def test_rank_needs_no_echelon_form(monkeypatch):
+    a = _fresh(lattice_case("witness-62", None)[0])
+    want = rank(a.normal_matrix())
+
+    def forbidden(*args):
+        raise AssertionError("rank() formed an echelon form")
+
+    for module, name in ((msarr.linalg, "rank"), (msarr.linalg, "rref"), (msarr.arrangement, "rref")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert a.rank() == want == 4
+
+
 def test_non_essential_case_has_rank_three():
     a = non_essential_rational()
     assert a.rank() == 3
@@ -292,8 +362,9 @@ def test_cut_keeps_primitive_kernels_with_free_columns(name, ms63_very_generic):
     dot, _, zero, comb = _integral_ops(a._rt5)
     canonical = (lambda k: _primitive_rt5(*k)) if a._rt5 else _primitive
     rng = random.Random(name)
+    units = [_integral([Q(int(i == j)) for i in range(a.dim)], a._rt5) for j in range(a.dim)]
     for _ in range(10):
-        ker, free = a._units, tuple(range(a.dim))
+        ker, free = units, tuple(range(a.dim))
         cut = []
         for lab in rng.sample(a.labels, min(6, len(a.labels))):
             images = [dot(a._integral[lab], k) for k in ker]
@@ -427,15 +498,19 @@ def test_zaslavsky_agrees(br3, boolean2):
         assert zaslavsky_chambers(boolean(r)) == 2**r
 
 
-@pytest.mark.parametrize("name", ["falk", "h3", "boolean-4", "perturbed-62"])
-def test_zaslavsky_matches_closed_set_oracle(name, ms62_perturbed):
-    if name == "boolean-4":
-        a = boolean(4)
-    elif name == "perturbed-62":
-        a = ms62_perturbed.arrangement
-    else:
-        a = build_ms(named_base(name)).arrangement
+@pytest.mark.parametrize("name", RANK_COORDINATE_CASES)
+def test_zaslavsky_matches_closed_set_oracle(name, ms63_very_generic):
+    """mu by Weisner's theorem over the recorded covers equals mu by every
+    flat below X, on label masks and on frozenset closed sets."""
+    a = rank_coordinate_case(name, ms63_very_generic)
+    assert zaslavsky_chambers(a) == oracles.scan_zaslavsky_chambers(a)
     assert zaslavsky_chambers(a) == oracles.set_zaslavsky_chambers(a)
+
+
+def test_zaslavsky_matches_the_mask_scan_on_very_generic_b73():
+    a = random_very_generic(7, 3, seed=1).arrangement
+    assert len(a.full_lattice()) == 2130
+    assert zaslavsky_chambers(a) == oracles.scan_zaslavsky_chambers(a)
 
 
 def test_lattice_masks_are_the_closed_sets(ms52):
