@@ -100,9 +100,18 @@ def _timed_provenance(t0: tuple) -> dict:
     }
 
 
+def _read_input(path: str, option: str, parse):
+    """parse(the JSON in the file at path); a file that cannot be read or
+    parsed is a usage error naming option."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise click.BadParameter(f"{path}: {type(exc).__name__}: {exc}", param_hint=option) from None
+
+
 def _load_arrangement(path: str) -> CentralArrangement:
-    with open(path) as fh:
-        return CentralArrangement.from_json(json.load(fh))
+    return _read_input(path, "--arrangement", CentralArrangement.from_json)
 
 
 @click.group()
@@ -123,11 +132,9 @@ def build(example_name, base_path, out):
         if example_name:
             g = named_base(example_name)
         else:
-            with open(base_path) as fh:
-                rows = json.load(fh)
-            g = GenericArrangement.from_matrix(
+            g = _read_input(base_path, "--base", lambda rows: GenericArrangement.from_matrix(
                 [[parse_scalar(v) if isinstance(v, str) else v for v in row] for row in rows]
-            )
+            ))
         m = build_ms(g)
         _emit(m.arrangement.to_json(), out)
 

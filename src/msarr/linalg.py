@@ -1,9 +1,8 @@
 """Exact linear algebra over an ordered field.
 
 Determinant and rank use fraction-free (Bareiss-style) elimination; reduced
-row echelon form gives kernels, the normal spaces of flats and the
-solutions of square systems.  Everything operates on lists/tuples of exact
-scalars (see fields).
+row echelon form gives kernels and the normal spaces of flats.  Everything
+operates on lists/tuples of exact scalars (see fields).
 
 The private integral helpers serve the intersection lattice: a vector over
 Q becomes a primitive integer vector, a vector over Q(sqrt5) a pair of
@@ -33,7 +32,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "rref",
-    "solve",
 ]
 
 
@@ -164,16 +162,6 @@ def rref(m):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in a[:r]), tuple(pivots)
-
-
-def solve(m, b):
-    """The unique x with m x = b for a square m, or None when m is singular."""
-    a = _as_rows(m)
-    n = len(a)
-    rows, pivots = rref([row + [as_scalar(v)] for row, v in zip(a, b)])
-    if pivots != tuple(range(n)):
-        return None
-    return [row[n] for row in rows]
 
 
 def kernel_basis(m):

@@ -22,7 +22,7 @@ from math import prod
 from .arrangement import SignVector, _eval
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, sign
-from .linalg import Mat, _cleared, _ring_row, det, kernel_basis, rank, solve
+from .linalg import Mat, _cleared, det, kernel_basis, rank
 from .msbuild import (
     GenericArrangement,
     MSArrangement,
@@ -33,7 +33,7 @@ from .msbuild import (
     ms_label,
 )
 from .pnk import SetFamily
-from .sigma import _frozen_signs, in_sigma_p
+from .sigma import in_sigma_p
 
 __all__ = [
     "WitnessSpec",
@@ -195,6 +195,16 @@ def _solve_first_column(other_columns, k, equation, rng, bound):
     return None
 
 
+def _proper_independent(rows) -> bool:
+    """Whether every proper sub-collection of the rows is independent.
+
+    Each lies in one of the r sub-collections of size r - 1, and a subset
+    of an independent set is independent, so those r ranks decide it.
+    """
+    r = len(rows)
+    return all(rank(Mat([rows[i] for i in sub])) == r - 1 for sub in combinations(range(r), r - 1))
+
+
 def _audit_family(g: GenericArrangement, fam: SetFamily, target_codim: int):
     """Rank and localization checks; returns the audit trail or None.
 
@@ -203,14 +213,9 @@ def _audit_family(g: GenericArrangement, fam: SetFamily, target_codim: int):
     """
     members = [sorted(T) for T in fam.members]
     rows = [list(alpha_I(g, T)) for T in members]
-    audit = []
-    r = len(rows)
-    for size in range(1, r):
-        for sub in combinations(range(r), size):
-            rk = rank(Mat([rows[i] for i in sub]))
-            if rk != size:
-                return None
-    audit.append((f"proper sub-collections independent (all J with |J| < {r})", True))
+    if not _proper_independent(rows):
+        return None
+    audit = [(f"proper sub-collections independent (all J with |J| < {len(rows)})", True)]
     full_rank = rank(Mat(rows))
     if full_rank != target_codim:
         return None
@@ -307,41 +312,21 @@ def perturb_to_very_generic(
     )
 
 
-def _vertex_points(a, split, x0):
-    """(v_j, sigma_j) per split label j: x0 projected onto the meet of the
-    other split hyperplanes, and the sign of a_j . v_j.
+def _frozen_signs(a, basis, others, rng: random.Random):
+    """Signs of the labels of others at a random integer point of span(basis).
 
-    v_j = x0 - sum_{i != j} c_i a_i with (A A^T) c = A x0 over the other
-    normals A, so a_i . v_j = 0 exactly for i != j.  None when a Gram
-    matrix is singular or some a_j . v_j is 0.
+    Each basis vector takes a coefficient in [-9, 9], drawn from rng in
+    basis order.  None when some label of others vanishes at the point.
     """
-    normals = [a.normal(l) for l in split]
-    out = []
-    for j, aj in enumerate(normals):
-        rest = normals[:j] + normals[j + 1:]
-        gram = [[_eval(u, v) for v in rest] for u in rest]
-        c = solve(gram, [_eval(u, x0) for u in rest])
-        if c is None:
-            return None
-        v = [x - sum(ci * u[t] for ci, u in zip(c, rest)) for t, x in enumerate(x0)]
-        sj = sign(_eval(aj, v))
-        if sj == 0:
-            return None
-        out.append((v, sj))
-    return out
-
-
-def _pattern_values(a, verts):
-    """Per label l, the products a_l . v_j over the vertex points, scaled
-    by one positive integer into ring entries.
-
-    The point sum_j w_j v_j, w_j = 1 where tau_j = sigma_j, else -1/r,
-    has sign tau on the split labels, since a_j . x = w_j (a_j . v_j).
-    Unless tau = -sigma the weights sum to at least 1/r, so x lies near a
-    positive multiple of x0.  r (a_l . x) = sum_j c_j (a_l . v_j) with
-    c_j = r or -1, so these entries give the sign of a_l . x exactly.
-    """
-    return {l: _ring_row([_eval(a.normal(l), v) for v, _ in verts], a._rt5)[1] for l in a.labels}
+    point = [Q(0)] * a.dim
+    for v in basis:
+        c = Q(rng.randint(-9, 9))
+        for i in range(a.dim):
+            point[i] = point[i] + c * v[i]
+    signs = {l: sign(_eval(a.normal(l), point)) for l in others}
+    if 0 in signs.values():
+        return None
+    return signs
 
 
 def jump_after_perturbation(
@@ -351,22 +336,18 @@ def jump_after_perturbation(
 
     The perturbation splits the coincident flat X into a cluster whose
     chambers include a simple one; near X the signs of all other
-    hyperplanes are frozen.  An exact point x0 on the old X fixes those
-    signs, and among the 2^r wall patterns exactly one full sign vector is
-    no chamber when the simple chamber exists: that vector is the flipped
-    chamber, and it lies one level down in the filtration.
+    hyperplanes are frozen.  Each try fixes those signs at a random exact
+    point of the old X, and among the 2^r wall patterns exactly one full
+    sign vector is no chamber when the simple chamber exists: that vector
+    is the flipped chamber, and it lies one level down in the filtration.
 
-    A pattern is a chamber once the point built on the vertex points of
-    x0 (see _pattern_values) realizes its whole sign vector, each a_l . x
-    computed exactly by linearity.  Every other pattern is decided by
-    in_sigma_p at level rank, the chamber test, whose report on the one
-    bad pattern carries the failing flat and certificate.  Its membership
-    one level down is read with audit, so it is returned only with a
-    point, verified by substitution, at every flat of that codim.
-    Returns (sign vector, failing flat, certificate).
+    Every pattern is decided by in_sigma_p at level rank, the chamber
+    test, whose report on the one bad pattern carries the failing flat and
+    certificate.  Its membership one level down is read with audit, so it
+    is returned only with a point, verified by substitution, at every flat
+    of that codim.  Returns (sign vector, failing flat, certificate).
     """
     a = m.arrangement
-    ring = a._ring
     p = a.rank() - 1
     split = set(w.family_labels())
     others = [l for l in a.labels if l not in split]
@@ -377,21 +358,13 @@ def jump_after_perturbation(
     rng = random.Random(seed)
 
     for _ in range(tries):
-        drawn = _frozen_signs(a, x_basis, others, rng)
-        if drawn is None:
+        delta = _frozen_signs(a, x_basis, others, rng)
+        if delta is None:
             continue
-        x0, delta = drawn
-        verts = _vertex_points(a, split_order, x0)
-        if verts is not None:
-            values = _pattern_values(a, verts)
         bad = []
         for tau in product((1, -1), repeat=len(split_order)):
             assign = dict(delta)
             assign.update(zip(split_order, tau))
-            if verts is not None:
-                c = [ring.of_int(len(verts) if sg == t else -1) for (_, sg), t in zip(verts, tau)]
-                if all(ring.sign(ring.dot(values[l], c)) == s for l, s in assign.items()):
-                    continue
             eps = SignVector(a.labels, tuple(assign[l] for l in a.labels))
             rep = in_sigma_p(a, eps, a.rank())
             if not rep.member:

@@ -27,7 +27,6 @@ Sigma_{p+1}, or certifies equality, up to CHAMBER_GUARD hyperplanes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -398,23 +397,6 @@ def epsilon_C(a: CentralArrangement, simple_chamber: SignVector) -> SignVector:
     if not is_simple_chamber(a, simple_chamber):
         raise ValueError("input is not a simple chamber")
     return simple_chamber.flip(walls(a, simple_chamber))
-
-
-def _frozen_signs(a: CentralArrangement, basis, others, rng: random.Random):
-    """(point, signs of others there) at a random integer point of span(basis).
-
-    Each basis vector takes a coefficient in [-9, 9], drawn from rng in
-    basis order.  None when some label of others vanishes at the point.
-    """
-    point = [Q(0)] * a.dim
-    for v in basis:
-        c = Q(rng.randint(-9, 9))
-        for i in range(a.dim):
-            point[i] = point[i] + c * v[i]
-    signs = {l: sign(_eval(a.normal(l), point)) for l in others}
-    if 0 in signs.values():
-        return None
-    return point, signs
 
 
 def _certified_jump(a: CentralArrangement, eps: SignVector, p: int):

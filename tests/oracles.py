@@ -553,6 +553,17 @@ class SetMatroid:
         )
 
 
+def proper_subcollections_independent(rows):
+    """Whether every proper sub-collection of the rows is independent, by
+    one rank per sub-collection of each size 1, ..., r - 1."""
+    r = len(rows)
+    return all(
+        rank(Mat([rows[i] for i in sub])) == size
+        for size in range(1, r)
+        for sub in combinations(range(r), size)
+    )
+
+
 def lp_jump_after_perturbation(m, w, seed=0, tries=40):
     """The perturbation jump with one whole-arrangement strict LP per pattern.
 

@@ -156,6 +156,35 @@ def test_construction_parameters_are_usage_errors(runner, args):
     assert "Invalid value" in r.output and "Traceback" not in r.output
 
 
+def normals(*entries):
+    return json.dumps({"dim": 3, "hyperplanes": [{"label": "a", "normal": list(entries)}]})
+
+
+@pytest.mark.parametrize(
+    "command,option,content",
+    [
+        ("sigma", "--arrangement", None),
+        ("sigma", "--arrangement", "{"),
+        ("sigma", "--arrangement", json.dumps({"hyperplanes": []})),
+        ("sigma", "--arrangement", normals("1", "2")),
+        ("sigma", "--arrangement", normals("1/0", "2", "3")),
+        ("build", "--base", json.dumps([["1", "0", "1"], ["0", "1"]])),
+    ],
+    ids=["missing", "not-json", "no-dim", "short-normal", "zero-denominator", "ragged-base"],
+)
+def test_bad_input_files_are_usage_errors(runner, tmp_path, command, option, content):
+    """An input file that cannot be read or parsed exits 2 with one error
+    line naming the option, not a traceback."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    extra = ["--eps", "+", "--p", "1"] if command == "sigma" else []
+    r = runner.invoke(main, [command, option, str(path), *extra])
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+    errors = [line for line in r.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and f"Invalid value for {option}" in errors[0]
+
+
 def test_module_entry_point_runs_the_cli(arr52):
     """python -m msarr runs the CLI from a checkout, with src on the path."""
     env = dict(os.environ, PYTHONPATH=str(Path(msarr.__file__).resolve().parents[1]))

@@ -8,6 +8,7 @@ import oracles
 from msarr import arrangement, feasibility, nonvgen, sigma
 from msarr.fields import Q
 from msarr.linalg import Mat, rank
+from msarr.msbuild import alpha_I
 from msarr.nonvgen import _rank3_equation, _rank_r_equation
 from msarr import (
     SetFamily,
@@ -168,6 +169,36 @@ def test_witness_json(w63):
     assert blob["audit"]
 
 
+@pytest.mark.parametrize("make,n,k", [(witness_rank_r, 6, 2), (witness_rank3, 6, 3)])
+def test_audit_by_size_r_minus_1_matches_all_subcollections(make, n, k, monkeypatch):
+    """The r sub-collections of size r - 1 give the verdict of every proper
+    sub-collection on each candidate base the seed 0-3 searches draw."""
+    drawn = []
+    real = nonvgen._proper_independent
+
+    def recorded(rows):
+        drawn.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(nonvgen, "_proper_independent", recorded)
+    for s in range(4):
+        make(n, k, seed=s)
+    assert len(drawn) >= 4
+    for rows in drawn:
+        assert real(rows) == oracles.proper_subcollections_independent(rows)
+
+
+def test_audit_rejects_dependent_proper_subcollection(w63):
+    # the three members meet at codim 2, a dependent proper sub-collection
+    # of any four-member family that holds them
+    g = w63.witness_base
+    fam = SetFamily(6, 3, [*w63.family.members, {1, 3, 5, 6}])
+    rows = [list(alpha_I(g, sorted(T))) for T in fam.members]
+    assert not nonvgen._proper_independent(rows)
+    assert not oracles.proper_subcollections_independent(rows)
+    assert nonvgen._audit_family(g, fam, 3) is None
+
+
 # -- perturbation and jump ------------------------------------------------------------
 
 
@@ -245,10 +276,9 @@ def count_chamber_tests(monkeypatch, rank):
     return calls
 
 
-def test_jump_without_vertex_points_matches_lp_oracle(monkeypatch):
-    # every pattern then goes to the chamber test, in_sigma_p at level rank
-    calls = []
-    monkeypatch.setattr(nonvgen, "_vertex_points", lambda *args: calls.append(args))
+def test_jump_by_chamber_tests_matches_lp_oracle(monkeypatch):
+    # every wall pattern of the returned try goes to the chamber test,
+    # in_sigma_p at level rank, and none solves an LP
     rows = count_strict_lps(monkeypatch)
     chamber_tests = count_chamber_tests(monkeypatch, 3)
     solved = feasibility.lp_count()
@@ -256,8 +286,7 @@ def test_jump_without_vertex_points_matches_lp_oracle(monkeypatch):
     m, _ = perturb_to_very_generic(w, seed=0)
     assert m.arrangement.rank() == 3
     new = jump_after_perturbation(m, w, seed=0)
-    assert calls
-    assert sum(chamber_tests) > 2
+    assert sum(chamber_tests) >= 2 ** 3
     assert rows == [] and feasibility.lp_count() == solved
     m.arrangement._proof_cache = {}
     assert new == oracles.lp_jump_after_perturbation(m, w, seed=0)
