@@ -40,8 +40,9 @@ from .linalg import (
     _cut,
     _integral,
     _integral_ops,
+    _ring_kernel,
     _ring_row,
-    kernel_basis,
+    _ring_scalars,
     rref,
 )
 
@@ -216,7 +217,6 @@ class CentralArrangement:
         self._rank = None
         self._cols = None  # P, the pivot columns of the normals
         self._ints = None  # label -> integral normal restricted to P
-        self._chambers = None
         self._scaled = None
         self._index = None  # closed mask -> lattice index
         self._pos = None  # pos(F) per flat, in lattice order
@@ -467,13 +467,12 @@ def localization(a: CentralArrangement, x: Flat) -> CentralArrangement:
 class EssentialMap:
     """Coordinate data tying an essentialization back to the original space.
 
-    Pivot columns of the echelonized normal matrix serve as quotient
-    coordinates; sign vectors carry over unchanged because labels do.
+    The pivot columns P of the normal matrix serve as quotient coordinates;
+    sign vectors carry over unchanged because labels do.
     """
 
     dim: int
     pivots: tuple
-    basis: tuple  # echelon basis of the normal row space
 
     def lift_point(self, point):
         out = [Q(0)] * self.dim
@@ -490,17 +489,16 @@ def essentialize(a: CentralArrangement):
     """Rank-preserving quotient presentation plus the point back-map.
 
     The new normal of H is its coefficient vector over the echelon basis of
-    the full normal row space; for echelon bases those coefficients are just
-    the pivot-column entries of the original normal.
+    the normal row space: H's entries on the pivot columns P, which the
+    rank coordinates already hold (_essential), so no echelon form is built.
     """
-    if not a.labels:
-        return CentralArrangement(0, []), EssentialMap(a.dim, (), ())
-    basis, pivots = rref(a.normal_matrix())
+    a._essential()
+    pivots = a._cols
     ess = CentralArrangement(
-        len(basis),
+        len(pivots),
         [(l, tuple(a.normal(l)[c] for c in pivots)) for l in a.labels],
     )
-    return ess, EssentialMap(a.dim, pivots, basis)
+    return ess, EssentialMap(a.dim, pivots)
 
 
 def _eval(normal, point):
@@ -615,17 +613,15 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
 
     A sign vector is realized iff it passes the cover test at every
     over-populated flat, and every realized prefix extends, so the DFS
-    never dead-ends and needs no witness point.  The set is kept on the
-    arrangement, write-once like its lattice.
+    never dead-ends and needs no witness point.  The set is listed anew on
+    each call; sigma.walls decides one chamber's flips without it.
     """
     n = a.n_hyperplanes
     if n > CHAMBER_GUARD:
         raise GuardExceeded(
             f"{n} hyperplanes exceeds the chamber enumeration guard ({CHAMBER_GUARD})"
         )
-    if a._chambers is None:
-        a._chambers = frozenset(_sign_vector(a, pos) for pos, _ in _conformal_masks(a, a.rank()))
-    return a._chambers
+    return frozenset(_sign_vector(a, pos) for pos, _ in _conformal_masks(a, a.rank()))
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:
@@ -648,32 +644,35 @@ def zaslavsky_chambers(a: CentralArrangement) -> int:
 
 
 def circuits(a: CentralArrangement, max_size: int):
-    """Minimal dependent label sets of size <= max_size with coefficients.
+    """Minimal dependent label sets of size <= max_size with coefficients,
+    by size, then in label order.
 
-    Each circuit's dependency is unique up to scale; it is returned with
-    first nonzero coefficient normalized to 1.
+    A circuit of q + 1 labels has rank q, so it spans its closure, a flat
+    of codim q that it over-populates.  Each over-populated flat of codim
+    q < max_size takes every (q + 1)-subset of its labels: the subset is a
+    circuit iff its scaled rows in the flat's pivot coordinates have one
+    kernel vector, with no zero entry.  Each circuit's dependency is unique
+    up to scale; it is returned with first coefficient normalized to 1.
     """
     if max_size > a.n_hyperplanes:
         raise ValueError("max_size exceeds the number of hyperplanes")
+    ring, scaled = a._ring, a._scaled_rows()
     found = []
-    found_sets = []
-    for size in range(2, max_size + 1):
-        for combo in combinations(a.labels, size):
-            cs = set(combo)
-            if any(f <= cs for f in found_sets):
-                continue
-            cols = Mat([list(a.normal(l)) for l in combo]).transpose()
-            ker = kernel_basis(cols)
-            if len(ker) != 1:
-                continue
-            coeffs = ker[0]
-            if any(c == 0 for c in coeffs):
-                continue  # a zero coefficient means a smaller dependent subset
-            lead = next(c for c in coeffs if c != 0)
-            coeffs = tuple(c / lead for c in coeffs)
-            found.append((frozenset(combo), dict(zip(combo, coeffs))))
-            found_sets.append(frozenset(combo))
-    return found
+    for f, m in zip(a.full_lattice(), a.lattice_masks()):
+        q = f.codim
+        if q >= max_size or m.bit_count() <= q:
+            continue
+        idx = _bit_indices(m)
+        rows = dict(zip(idx, _pivot_rows(a, f, idx)))
+        for sub in combinations(idx, q + 1):
+            c = _ring_kernel([[rows[j][k] for j in sub] for k in range(q)], ring)
+            if c is None or ring.zero in c:
+                continue  # dependent rows, or a smaller circuit inside
+            coeffs = _ring_scalars([ring.mul(v, ring.of_int(scaled[j][0])) for v, j in zip(c, sub)], a._rt5)
+            labels = [a.labels[j] for j in sub]
+            found.append((sub, frozenset(labels), dict(zip(labels, (v / coeffs[0] for v in coeffs)))))
+    found.sort(key=lambda t: (len(t[0]), t[0]))
+    return [t[1:] for t in found]
 
 
 def matroid_of_arrangement(a: CentralArrangement):

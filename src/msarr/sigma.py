@@ -23,6 +23,10 @@ most q = min(p, rank) drives a DFS over the labels that lists Sigma_p
 whole.  That DFS is find_jump's only search: walking Sigma_p with a flag
 for Sigma_{p+1}, it returns the first member of Sigma_p outside
 Sigma_{p+1}, or certifies equality, up to CHAMBER_GUARD hyperplanes.
+
+The test at level rank is the chamber test: walls runs it on a chamber's
+mask and on each one-label flip, and is_simple_chamber reads the rest off
+flat_of, so neither lists chambers nor has a guard.
 """
 
 from __future__ import annotations
@@ -40,16 +44,14 @@ from .arrangement import (
     _cocircuits,
     _conformal_masks,
     _covered,
-    _eval,
     _pivot_rows,
     _same_flat,
     _sign_vector,
-    chamber_sign_vectors,
     zaslavsky_chambers,
 )
 from .errors import GuardExceeded, VerificationError
-from .fields import Q, sign
-from .linalg import Mat, _ring_kernel, _ring_primitive, _ring_scalars, rref
+from .fields import Q
+from .linalg import _ring_kernel, _ring_primitive, _ring_scalars
 
 __all__ = [
     "SigmaReport",
@@ -345,51 +347,41 @@ def sigma_set(a: CentralArrangement, p: int):
 
 
 def walls(a: CentralArrangement, chamber: SignVector):
-    """Labels whose sign flip turns the chamber into another chamber."""
-    chambers = chamber_sign_vectors(a)
-    if chamber not in chambers:
-        raise ValueError("input sign vector is not a chamber")
-    return {l for l in a.labels if chamber.flip([l]) in chambers}
+    """Labels whose sign flip turns the chamber into another chamber.
 
-
-def _rays_of_walls(a: CentralArrangement, w):
-    """Rays r_j of the cone over the walls w: a_i . r_j = [i == j].
-
-    They are the columns of the inverse of the wall matrix, so r_j spans
-    the kernel of the other wall normals; None when the normals of w are
-    dependent.  Needs |w| = a.dim.
+    A sign vector is a chamber iff it is consistent at the codim-rank
+    flat: in_sigma_p's cover test at level rank, on its positive mask.
+    That test runs once for the chamber and once per flipped label, with
+    no chamber list and no guard.  The chamber must have exactly a's
+    labels, in any order: ValueError otherwise, or when it is no chamber.
     """
-    d = a.dim
-    rows = [list(a.normal(l)) + [int(i == j) for j in range(d)] for i, l in enumerate(w)]
-    inverse, piv = rref(Mat(rows))
-    if piv != tuple(range(d)):
-        return None
-    return [[row[d + j] for row in inverse] for j in range(d)]
+    pos = _positive_mask(a, chamber)
+    level = _level(a, a.rank())
+
+    def is_chamber(p):
+        return all(c is None or _covered(m, c, p) for _, _, m, c in level)
+
+    if not is_chamber(pos):
+        raise ValueError("input sign vector is not a chamber")
+    return {l for j, l in enumerate(a.labels) if is_chamber(pos ^ 1 << j)}
 
 
 def is_simple_chamber(a: CentralArrangement, chamber: SignVector) -> bool:
     """Chamber closure is a simplicial cone meeting no other hyperplane.
 
-    Requires an essential arrangement.  The walls must number rank with
-    independent normals, and every non-wall hyperplane must take the
-    chamber's strict sign on every ray of the closed chamber: for signs e
-    on the walls w the closed chamber is spanned by the rays e_j r_j.
+    Requires an essential arrangement.  The walls must number rank, and for
+    each wall w the other walls must cut out a line on no other
+    hyperplane: flat_of(walls - {w}) has exactly rank - 1 labels.  Then no
+    wall lies in the span of the others, so the walls are independent and
+    the closed chamber is spanned by the rays of those lines.  A non-wall
+    hyperplane takes one strict sign on the open chamber, so it meets the
+    closed chamber away from 0 iff it holds one of those rays.
     """
     rk = a.rank()
     if rk != a.dim:
         raise ValueError("arrangement must be essential; essentialize first")
-    w = sorted(walls(a, chamber))
-    if len(w) != rk:
-        return False
-    rays = _rays_of_walls(a, w)
-    if rays is None:
-        return False
-    e = [chamber.sign_of(l) for l in w]
-    return all(
-        {ej * sign(_eval(a.normal(l), r)) for ej, r in zip(e, rays)} == {chamber.sign_of(l)}
-        for l in a.labels
-        if l not in w
-    )
+    w = walls(a, chamber)
+    return len(w) == rk and all(len(a.flat_of(w - {l}).closed_set) == rk - 1 for l in w)
 
 
 def epsilon_C(a: CentralArrangement, simple_chamber: SignVector) -> SignVector:

@@ -5,10 +5,11 @@ possible with the library paths it checks.
 """
 
 import random
+import weakref
 from collections import namedtuple
 from itertools import combinations, permutations, product
 
-from msarr.arrangement import Flat, SignVector, _bit_indices, _pivot_rows
+from msarr.arrangement import Flat, SignVector, _bit_indices, _eval, _pivot_rows, chamber_sign_vectors
 from msarr.errors import RetryExhausted
 from msarr.feasibility import _phase1, strict_feasibility
 from msarr.fields import Q, as_scalar, sign
@@ -23,7 +24,6 @@ from msarr.sigma import (
     _fails,
     _ray_point,
     in_sigma_p,
-    walls,
 )
 
 # A flat as the echelon oracles build it: its own rref of X^perp, not the
@@ -336,6 +336,20 @@ def mixed_feasibility(eq_rows, geq_rows, normalization):
     return u
 
 
+_LISTED = weakref.WeakKeyDictionary()
+
+
+def listed_walls(a, chamber):
+    """Labels whose flip is in the listed chamber set: one lookup per label
+    in chamber_sign_vectors, the DFS list, listed once per arrangement."""
+    chambers = _LISTED.get(a)
+    if chambers is None:
+        chambers = _LISTED[a] = chamber_sign_vectors(a)
+    if chamber not in chambers:
+        raise ValueError("input sign vector is not a chamber")
+    return {l for l in a.labels if chamber.flip([l]) in chambers}
+
+
 def lp_is_simple_chamber(a, chamber):
     """Simple-chamber test by one mixed LP per non-wall hyperplane.
 
@@ -347,7 +361,7 @@ def lp_is_simple_chamber(a, chamber):
     rk = a.rank()
     if rk != a.dim:
         raise ValueError("arrangement must be essential; essentialize first")
-    w = walls(a, chamber)
+    w = listed_walls(a, chamber)
     if len(w) != rk:
         return False
     if rank(Mat([list(a.normal(l)) for l in sorted(w)])) != rk:
@@ -365,6 +379,70 @@ def lp_is_simple_chamber(a, chamber):
         if point is not None:
             return False
     return True
+
+
+def rays_of_walls(a, w):
+    """Rays r_j of the cone over the walls w: a_i . r_j = [i == j].
+
+    They are the columns of the inverse of the wall matrix, so r_j spans
+    the kernel of the other wall normals; None when the normals of w are
+    dependent.  Needs |w| = a.dim.
+    """
+    d = a.dim
+    rows = [list(a.normal(l)) + [int(i == j) for j in range(d)] for i, l in enumerate(w)]
+    inverse, piv = rref(Mat(rows))
+    if piv != tuple(range(d)):
+        return None
+    return [[row[d + j] for row in inverse] for j in range(d)]
+
+
+def ray_is_simple_chamber(a, chamber):
+    """Simple-chamber test by the rays of the inverse wall matrix, in
+    Fractions, with walls from the listed chambers.
+
+    The walls must number rank with independent normals, and every
+    non-wall hyperplane must take the chamber's strict sign on every ray
+    of the closed chamber: for signs e on the walls w the closed chamber
+    is spanned by the rays e_j r_j.
+    """
+    rk = a.rank()
+    if rk != a.dim:
+        raise ValueError("arrangement must be essential; essentialize first")
+    w = sorted(listed_walls(a, chamber))
+    if len(w) != rk:
+        return False
+    rays = rays_of_walls(a, w)
+    if rays is None:
+        return False
+    e = [chamber.sign_of(l) for l in w]
+    return all(
+        {ej * sign(_eval(a.normal(l), r)) for ej, r in zip(e, rays)} == {chamber.sign_of(l)}
+        for l in a.labels
+        if l not in w
+    )
+
+
+def kernel_circuits(a, max_size):
+    """Circuits of size <= max_size by one Fraction kernel_basis per label
+    subset, sizes ascending, subsets in combinations order: a subset with
+    no smaller circuit inside, a one-dimensional kernel and no zero
+    coefficient is a circuit, its first coefficient normalized to 1."""
+    if max_size > a.n_hyperplanes:
+        raise ValueError("max_size exceeds the number of hyperplanes")
+    found = []
+    found_sets = []
+    for size in range(2, max_size + 1):
+        for combo in combinations(a.labels, size):
+            cs = set(combo)
+            if any(f <= cs for f in found_sets):
+                continue
+            ker = kernel_basis(Mat([list(a.normal(l)) for l in combo]).transpose())
+            if len(ker) != 1 or any(c == 0 for c in ker[0]):
+                continue
+            lead = ker[0][0]
+            found.append((frozenset(combo), dict(zip(combo, (c / lead for c in ker[0])))))
+            found_sets.append(frozenset(combo))
+    return found
 
 
 def elimination_presentations(m):

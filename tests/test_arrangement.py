@@ -30,10 +30,12 @@ from msarr import (
     random_very_generic,
     zaslavsky_chambers,
     circuits,
+    is_simple_chamber,
+    walls,
     witness_rank_r,
 )
 from msarr.pnk import SetFamily
-from conftest import boolean, small_arrangements
+from conftest import PIN_CASES, boolean, pin_case, small_arrangements
 
 
 def lattice_closed_sets(a):
@@ -198,14 +200,19 @@ def full_flat_data(flats):
 def test_rank_coordinate_lattice_matches_the_full_coordinate_builder(name, ms63_very_generic):
     """The lattice built in the rank coordinates P equals the one built in
     all coordinates: every flat with its pivots and rows, the masks, pos(F)
-    and covers; so does flat_of on seeded label sets.  rank() is |P|, and P
-    is the essentialization's pivot columns."""
+    and covers; so does flat_of on seeded label sets.  rank() is |P|, P is
+    the rref pivot columns of the normals, and the essentialization keeps
+    each normal's entries on P."""
     a = _fresh(rank_coordinate_case(name, ms63_very_generic))
     flats, masks, pos, covers = oracles.full_coordinate_lattice(a)
     assert full_flat_data(a.full_lattice()) == full_flat_data(flats)
     assert (a._masks, a._pos, a._covers) == (masks, pos, covers)
     assert a.rank() == rank(a.normal_matrix())
-    assert a._cols == essentialize(a)[1].pivots
+    pivots = rref(a.normal_matrix())[1]
+    assert a._cols == pivots
+    ess, emap = essentialize(a)
+    assert (ess.dim, ess.labels, emap.dim, emap.pivots) == (len(pivots), a.labels, a.dim, pivots)
+    assert all(ess.normal(l) == tuple(a.normal(l)[c] for c in pivots) for l in a.labels)
     rng = random.Random(name)
     for _ in range(20 if a.labels else 1):
         labels = rng.sample(a.labels, rng.randint(0, min(5, len(a.labels))))
@@ -574,6 +581,45 @@ def test_circuits_skip_supersets():
     )
     found = circuits(a, 4)
     assert [set(s) for s, _ in found] == [{"a", "b", "c"}]
+
+
+def circuit_data(found):
+    """Supports with their (label, type, coefficient) triples in order."""
+    return [(s, [(l, type(v), v) for l, v in c.items()]) for s, c in found]
+
+
+@pytest.mark.parametrize("name", PIN_CASES)
+def test_circuits_match_the_kernel_oracle(name):
+    """Every circuit, read off the lattice, equals the per-subset Fraction
+    kernels': supports, coefficients and order."""
+    a = pin_case(name)
+    size = min(a.rank() + 1, a.n_hyperplanes)
+    assert circuit_data(circuits(a, size)) == circuit_data(oracles.kernel_circuits(a, size))
+
+
+def test_circuits_match_the_kernel_oracle_in_all_coordinates(br3, ms52):
+    """The same on non-essential arrangements, and with a max_size below
+    the largest circuits."""
+    for a, size in ((br3, 3), (ms52.arrangement, 3), (ms52.arrangement, 4), (non_essential_rational(), 4)):
+        assert circuit_data(circuits(a, size)) == circuit_data(oracles.kernel_circuits(a, size))
+
+
+@pytest.mark.parametrize("rt5", [False, True], ids=["Q", "Qrt5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lattice_reads_match_their_oracles_on_random_arrangements(rt5, data):
+    """Circuits equal the kernel oracle's in value and order, and on the
+    essentialization walls and the simple-chamber test equal the listed
+    chambers' and the ray test's."""
+    dim, normals = data.draw(small_arrangements(rt5, 6))
+    assume(all(rank(Mat([u, v])) == 2 for i, u in enumerate(normals) for v in normals[:i]))
+    a = CentralArrangement(dim, [(f"h{i}", v) for i, v in enumerate(normals)])
+    got, want = circuits(a, len(normals)), oracles.kernel_circuits(a, len(normals))
+    assert [(s, list(c.items())) for s, c in got] == [(s, list(c.items())) for s, c in want]
+    ess = essentialize(a)[0]
+    for ch in chamber_sign_vectors(ess):
+        assert walls(ess, ch) == oracles.listed_walls(ess, ch)
+        assert is_simple_chamber(ess, ch) == oracles.ray_is_simple_chamber(ess, ch)
 
 
 def test_circuits_size_guard(br3):

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import boolean, small_arrangements
+import msarr.arrangement
+from conftest import PIN_CASES, boolean, pin_case, small_arrangements, square_cone
 from msarr import feasibility, nonvgen, sigma
-from msarr.arrangement import GordanCertificate, _conformal_masks, _sign_vector
+from msarr.arrangement import CHAMBER_GUARD, GordanCertificate, _conformal_masks, _sign_vector
 from msarr.errors import GuardExceeded, VerificationError
 from msarr.fields import Q, Qrt5, sign
 from msarr.linalg import Mat, rank
@@ -35,6 +36,7 @@ from msarr import (
     sigma_product_check,
     sigma_set,
     walls,
+    witness_rank3,
     witness_rank_r,
     zaslavsky_chambers,
 )
@@ -380,14 +382,39 @@ def test_walls_of_braid_chamber(br3):
         walls(br3, SignVector(br3.labels, (1, -1, 1)))
 
 
-def test_walls_reuse_the_listed_chambers(br3):
-    for a in (boolean(3), essentialize(br3)[0]):
-        chambers = chamber_sign_vectors(a)
-        solved = feasibility.lp_count()
+def test_walls_list_no_chambers(br3, monkeypatch):
+    """walls, is_simple_chamber and epsilon_C solve no LP and never run the
+    chamber DFS: _conformal_masks is patched to raise."""
+    cases = [(a, chamber_sign_vectors(a)) for a in (boolean(3), essentialize(br3)[0], square_cone())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chamber DFS run")
+
+    monkeypatch.setattr(msarr.arrangement, "_conformal_masks", refuse)
+    monkeypatch.setattr(sigma, "_conformal_masks", refuse)
+    solved = feasibility.lp_count()
+    for a, chambers in cases:
         for ch in chambers:
-            walls(a, ch)
-        assert feasibility.lp_count() == solved
-        assert chamber_sign_vectors(a) is chambers
+            assert walls(a, ch)
+            if is_simple_chamber(a, ch):
+                epsilon_C(a, ch)
+    assert feasibility.lp_count() == solved
+
+
+def test_walls_read_a_chamber_by_label(br3):
+    """A chamber listing a's labels in another order is read by label."""
+    shuffled = SignVector(("yz", "xy", "xz"), (1, 1, 1))
+    ess, _ = essentialize(br3)
+    assert in_sigma_p(br3, shuffled, 2).member
+    assert walls(br3, shuffled) == {"xy", "yz"}
+    assert is_simple_chamber(ess, shuffled)
+    assert epsilon_C(ess, shuffled) == SignVector(("yz", "xy", "xz"), (-1, -1, 1))
+    a = pin_case("very-generic-63")
+    rng = random.Random(37)
+    for ch in sorted(chamber_sign_vectors(a), key=lambda c: c.to_string())[::10]:
+        other = permuted(ch, rng)
+        assert walls(a, other) == walls(a, ch)
+        assert is_simple_chamber(a, other) == is_simple_chamber(a, ch)
 
 
 def test_boolean_chambers_are_simple(boolean2):
@@ -411,18 +438,6 @@ def test_simple_chamber_requires_essential(br3):
     ch = SignVector(br3.labels, (1, 1, 1))
     with pytest.raises(ValueError):
         is_simple_chamber(br3, ch)
-
-
-def square_cone():
-    return CentralArrangement(
-        3,
-        [
-            ("a", [1, 0, 1]),
-            ("b", [-1, 0, 1]),
-            ("c", [0, 1, 1]),
-            ("d", [0, -1, 1]),
-        ],
-    )
 
 
 def test_non_simple_chamber_detected():
@@ -473,6 +488,49 @@ def test_simple_chambers_match_lp_h3_subarrangement():
     sub = essential_sub(h3, ("1235", "1245", "1256", "1346", "1456", "2346"))
     assert sub.rank() == 3
     assert assert_simple_chambers_match_lp(sub) == (6, 28)
+
+
+@pytest.mark.parametrize("name", PIN_CASES)
+def test_walls_and_simple_chambers_match_the_listed_chambers_and_rays(name):
+    """On every chamber, walls equal the flips found in the chamber list,
+    and the simple-chamber test equals the ray test of the inverse wall
+    matrix."""
+    a = pin_case(name)
+    for ch in sorted(chamber_sign_vectors(a), key=lambda c: c.to_string()):
+        assert walls(a, ch) == oracles.listed_walls(a, ch), ch.to_string()
+        assert is_simple_chamber(a, ch) == oracles.ray_is_simple_chamber(a, ch), ch.to_string()
+
+
+def test_walls_match_one_lp_per_flip(w62, ms62_perturbed):
+    """Near the formerly coincident flat of the perturbed B(6,3) and B(6,2),
+    the chamber that the jump flips back has those labels for walls, and
+    they are the flips one strict LP each finds realized."""
+    w63 = witness_rank3(6, 3, seed=0)
+    for w, m in ((w63, perturb_to_very_generic(w63, seed=0)[0]), (w62, ms62_perturbed)):
+        a = m.arrangement
+        split = set(w.family_labels())
+        chamber = jump_after_perturbation(m, w, seed=0)[0].flip(split)
+        lp = {l for l in a.labels if oracles.lp_realizes(a, chamber.flip([l]), a.labels)}
+        assert walls(a, chamber) == lp == split
+
+
+def test_simple_chamber_of_the_perturbed_b85_past_the_guard():
+    """The paper's simple chamber on 28 hyperplanes, past the chamber
+    guard: in the essentialized seed-1 perturbed B(8,5), the jump with its
+    formerly coincident labels flipped is a simple chamber with exactly
+    those walls, and flipping them gives back the jump."""
+    w = witness_rank3(8, 5, seed=1)
+    m, _ = perturb_to_very_generic(w, seed=1)
+    eps = jump_after_perturbation(m, w, seed=1)[0]
+    ess, _ = essentialize(m.arrangement)
+    assert ess.n_hyperplanes == 28 > CHAMBER_GUARD
+    with pytest.raises(GuardExceeded):
+        chamber_sign_vectors(ess)
+    split = set(w.family_labels())
+    chamber = eps.flip(split)
+    assert walls(ess, chamber) == split
+    assert is_simple_chamber(ess, chamber)
+    assert epsilon_C(ess, chamber) == eps
 
 
 # -- jumps ------------------------------------------------------------------------
