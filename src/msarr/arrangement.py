@@ -221,6 +221,7 @@ class CentralArrangement:
         self._index = None  # closed mask -> lattice index
         self._pos = None  # pos(F) per flat, in lattice order
         self._covers = None  # per flat, the lattice indices of the flats it covers
+        self._levels = {}  # codim -> _level tuple, each built once
 
     def _reject_parallel(self):
         seen = {}
@@ -561,46 +562,70 @@ def _covered(t, cocircuits, pos):
     return False
 
 
-def _conformal_masks(a: CentralArrangement, codim: int, flag=None):
-    """(positive-label mask, still consistent up to codim flag) of each
-    sign vector consistent at every flat of codim at most codim, in
-    product((1, -1)) order, as a generator.
+def _level(a: CentralArrangement, q: int) -> tuple:
+    """(lattice index, flat, closed mask, cocircuits) of each codim-q flat,
+    in lattice order; the cocircuits, on the whole closed set, of the flats
+    it covers when it is over-populated, None when it is independent.
+
+    Built on the first query at q and kept in a._levels: at most F entries
+    over all levels and F*N cocircuit pairs, as for the covers.
+    """
+    level = a._levels.get(q)
+    if level is None:
+        level = a._levels[q] = tuple(
+            (i, f, m, _cocircuits(a, i, m) if m.bit_count() > q else None)
+            for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks()))
+            if f.codim == q
+        )
+    return level
+
+
+def _enumeration_guard(a: CentralArrangement):
+    """GuardExceeded when a has too many hyperplanes to list sign vectors."""
+    if a.n_hyperplanes > CHAMBER_GUARD:
+        raise GuardExceeded(
+            f"{a.n_hyperplanes} hyperplanes exceeds the enumeration guard ({CHAMBER_GUARD})"
+        )
+
+
+def _conformal_masks(a: CentralArrangement, codim: int):
+    """The positive-label mask of each sign vector consistent at every flat
+    of codim at most codim, in product((1, -1)) order, as a generator.
 
     A DFS over the labels, + before -, tests at label i each over-populated
-    flat Z of codim at most codim, or flag, that contains i, on the prefix
-    t of Z's closed set up to i: t is inconsistent iff a conforming
-    circuit lies inside the prefix, whose highest label is then i.  A
-    prefix that does not span Z is skipped, since such a circuit spans a
-    smaller flat that holds i.  Failing a flat of codim at most codim cuts
-    the prefix; failing one of codim flag only clears the flag.  At codim
-    rank no prefix dead-ends; below it one can.
+    flat Z of codim q at most codim that contains i, on the prefix t of
+    Z's closed set up to i: t is inconsistent iff a conforming circuit lies
+    inside the prefix, whose highest label is then i.  A prefix that does
+    not span Z is skipped, since such a circuit spans a smaller flat that
+    holds i.  The prefix's cocircuits are Z's from _level cut to t, (s & t,
+    c & t), as t lies in Z's closed set; a prefix where some s & t is 0 lies
+    in a flat Z covers, so it does not span Z.  At codim rank no prefix
+    dead-ends; below it one can.
     """
     n = a.n_hyperplanes
-    top = codim if flag is None else flag
     tests = [[] for _ in range(n)]
-    for z, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks())):
-        if f.codim > top:
-            break
-        for i in _bit_indices(m):
-            t = m & ((2 << i) - 1)
-            cocircuits = _cocircuits(a, z, t) if t.bit_count() > f.codim else None
-            if cocircuits is not None:
-                tests[i].append((t, cocircuits, f.codim <= codim))
-    stack = [(0, 0, True)]
+    for q in range(1, codim + 1):
+        for _, _, m, cocircuits in _level(a, q):
+            if cocircuits is None:
+                continue
+            for i in _bit_indices(m):
+                t = m & ((2 << i) - 1)
+                if t.bit_count() > q:
+                    prefix = [(s & t, c & t) for s, c in cocircuits]
+                    if all(s for s, _ in prefix):
+                        tests[i].append((t, prefix))
+    stack = [(0, 0)]
     while stack:
-        i, pos, above = stack.pop()
+        i, pos = stack.pop()
         if i == n:
-            yield pos, above
+            yield pos
             continue
         for p in (pos, pos | 1 << i):  # - pushed first, so + is taken first
-            ok = above
-            for t, cocircuits, cut in tests[i]:
-                if (cut or ok) and not _covered(t, cocircuits, p):
-                    if cut:
-                        break
-                    ok = False
+            for t, cocircuits in tests[i]:
+                if not _covered(t, cocircuits, p):
+                    break
             else:
-                stack.append((i + 1, p, ok))
+                stack.append((i + 1, p))
 
 
 def _sign_vector(a: CentralArrangement, pos: int) -> SignVector:
@@ -616,12 +641,8 @@ def chamber_sign_vectors(a: CentralArrangement) -> frozenset:
     never dead-ends and needs no witness point.  The set is listed anew on
     each call; sigma.walls decides one chamber's flips without it.
     """
-    n = a.n_hyperplanes
-    if n > CHAMBER_GUARD:
-        raise GuardExceeded(
-            f"{n} hyperplanes exceeds the chamber enumeration guard ({CHAMBER_GUARD})"
-        )
-    return frozenset(_sign_vector(a, pos) for pos, _ in _conformal_masks(a, a.rank()))
+    _enumeration_guard(a)
+    return frozenset(_sign_vector(a, pos) for pos in _conformal_masks(a, a.rank()))
 
 
 def zaslavsky_chambers(a: CentralArrangement) -> int:

@@ -22,7 +22,7 @@ from math import prod
 from .arrangement import SignVector, _eval
 from .errors import RetryExhausted, VerificationError
 from .fields import Q, sign
-from .linalg import Mat, _cleared, det, kernel_basis, rank
+from .linalg import Mat, det, kernel_basis, rank
 from .msbuild import (
     GenericArrangement,
     MSArrangement,
@@ -195,40 +195,27 @@ def _solve_first_column(other_columns, k, equation, rng, bound):
     return None
 
 
-def _proper_independent(rows) -> bool:
-    """Whether every proper sub-collection of the rows is independent.
-
-    Each lies in one of the r sub-collections of size r - 1, and a subset
-    of an independent set is independent, so those r ranks decide it.
-    """
-    r = len(rows)
-    return all(rank(Mat([rows[i] for i in sub])) == r - 1 for sub in combinations(range(r), r - 1))
-
-
 def _audit_family(g: GenericArrangement, fam: SetFamily, target_codim: int):
-    """Rank and localization checks; returns the audit trail or None.
+    """Flat checks on B(n, k) of g; returns the audit trail or None.
 
-    Verifies codim of every proper sub-collection's intersection, the full
-    intersection codim, and that no other hyperplane contains it.
+    The family's r members are hyperplanes of B(n, k) on g.  Each
+    sub-collection of r - 1 of them must cut a flat of codim r - 1, so
+    every proper sub-collection is independent (a subset of an independent
+    set is); the whole family must cut a flat of codim target_codim whose
+    closed set is exactly the family, so no other hyperplane contains it.
     """
-    members = [sorted(T) for T in fam.members]
-    rows = [list(alpha_I(g, T)) for T in members]
-    if not _proper_independent(rows):
+    a = build_ms(g).arrangement
+    labels = [ms_label(sorted(T), g.n) for T in fam.members]
+    r = len(labels)
+    if any(a.flat_of(sub).codim != r - 1 for sub in combinations(labels, r - 1)):
         return None
-    audit = [(f"proper sub-collections independent (all J with |J| < {len(rows)})", True)]
-    full_rank = rank(Mat(rows))
-    if full_rank != target_codim:
+    audit = [(f"proper sub-collections independent (all J with |J| < {r})", True)]
+    x = a.flat_of(labels)
+    if x.codim != target_codim:
         return None
-    audit.append((f"codim of full intersection = {target_codim}", full_rank))
-    # alpha_I is in the span of the rows iff it is orthogonal to their
-    # kernel; it vanishes off I
-    kernel = [_cleared(v, False)[1] for v in kernel_basis(Mat(rows))]
-    member_set = {tuple(T) for T in members}
-    for I in combinations(range(1, g.n + 1), g.k + 1):
-        if I not in member_set:
-            alpha = alpha_I(g, I)
-            if all(sum(alpha[i - 1] * k[i - 1] for i in I) == 0 for k in kernel):
-                return None
+    audit.append((f"codim of full intersection = {target_codim}", x.codim))
+    if x.closed_set != set(labels):
+        return None
     audit.append(("localization contains no further hyperplane", True))
     return audit
 

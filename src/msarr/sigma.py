@@ -19,10 +19,11 @@ rays of the flats one codim down or, at an independent flat, one kernel
 vector, is built only when a caller reads it.
 
 The same test on the prefixes of the over-populated flats of codim at
-most q = min(p, rank) drives a DFS over the labels that lists Sigma_p
-whole.  That DFS is find_jump's only search: walking Sigma_p with a flag
-for Sigma_{p+1}, it returns the first member of Sigma_p outside
-Sigma_{p+1}, or certifies equality, up to CHAMBER_GUARD hyperplanes.
+most q = min(p, rank), cut from the level tuples, drives a DFS over the
+labels that lists Sigma_p whole.  That DFS is find_jump's only search:
+each member of Sigma_p it lists gets the cover tests of the level p + 1
+tuple, and the first that fails one lies outside Sigma_{p+1}; with none,
+equality is certified, up to CHAMBER_GUARD hyperplanes.
 
 The test at level rank is the chamber test: walls runs it on a chamber's
 mask and on each one-label flip, and is_simple_chamber reads the rest off
@@ -44,6 +45,8 @@ from .arrangement import (
     _cocircuits,
     _conformal_masks,
     _covered,
+    _enumeration_guard,
+    _level,
     _pivot_rows,
     _same_flat,
     _sign_vector,
@@ -85,25 +88,6 @@ def _proofs(a: CentralArrangement) -> dict:
     """Certificates and points kept on a, under (closed mask, positive mask
     on it): at most the sum over flats F of 2^|closed F| entries."""
     return a.__dict__.setdefault("_proof_cache", {})
-
-
-def _level(a: CentralArrangement, q: int) -> tuple:
-    """(lattice index, flat, closed mask, cocircuits) of each codim-q flat,
-    in lattice order; the cocircuits, on the whole closed set, of the flats
-    it covers when it is over-populated, None when it is independent.
-
-    Built on the first query at q and kept: at most F entries over all
-    levels and F*N cocircuit pairs, as for the covers.
-    """
-    levels = a.__dict__.setdefault("_levels", {})
-    level = levels.get(q)
-    if level is None:
-        level = levels[q] = tuple(
-            (i, f, m, _cocircuits(a, i, m) if m.bit_count() > q else None)
-            for i, (f, m) in enumerate(zip(a.full_lattice(), a.lattice_masks()))
-            if f.codim == q
-        )
-    return level
 
 
 def _positive_mask(a: CentralArrangement, eps: SignVector) -> int:
@@ -336,14 +320,10 @@ def in_sigma_p(a: CentralArrangement, eps: SignVector, p: int, audit: bool = Fal
 
 def sigma_set(a: CentralArrangement, p: int):
     """Sigma_p as a set of sign vectors, listed by circuit DFS."""
-    n = a.n_hyperplanes
-    if n > CHAMBER_GUARD:
-        raise GuardExceeded(
-            f"{n} hyperplanes exceeds the enumeration guard ({CHAMBER_GUARD})"
-        )
+    _enumeration_guard(a)
     if p < 1:
         raise ValueError("p must be at least 1")
-    return {_sign_vector(a, pos) for pos, _ in _conformal_masks(a, min(p, a.rank()))}
+    return {_sign_vector(a, pos) for pos in _conformal_masks(a, min(p, a.rank()))}
 
 
 def walls(a: CentralArrangement, chamber: SignVector):
@@ -407,30 +387,27 @@ def find_jump(a: CentralArrangement, p: int):
 
     When no over-populated flat has codim p + 1 the circuits at p and
     p + 1 are the same, so Sigma_p = Sigma_{p+1}, certified before any
-    search.  Otherwise, up to CHAMBER_GUARD hyperplanes, one DFS walks
-    Sigma_p in product((1, -1)) order with a flag for "still in
-    Sigma_{p+1}", and the first member whose flag is off is the witness,
-    certified by in_sigma_p: a certificate at p + 1 and audited points at
-    p.  Without one, at p + 1 = rank the members must number Zaslavsky's
-    count.  Past the guard it raises GuardExceeded.
+    search.  Otherwise, up to CHAMBER_GUARD hyperplanes, the DFS lists
+    Sigma_p in product((1, -1)) order, and each member gets one cover test
+    per over-populated codim-(p + 1) flat of the level tuple: a member of
+    Sigma_p lies in Sigma_{p+1} iff it passes them all.  The first member
+    that fails one is the witness, certified by in_sigma_p: a certificate
+    at p + 1 and audited points at p.  Without one, at p + 1 = rank the
+    members must number Zaslavsky's count.  Past the guard it raises
+    GuardExceeded.
     """
     rk = a.rank()
     if not 2 <= p < rk:
         raise ValueError("need 2 <= p < rank")
-    if not any(
-        f.codim == p + 1 and m.bit_count() > f.codim
-        for f, m in zip(a.full_lattice(), a.lattice_masks())
-    ):
+    above = [(m, c) for _, _, m, c in _level(a, p + 1) if c is not None]
+    if not above:
         return None
-    n = a.n_hyperplanes
-    if n > CHAMBER_GUARD:
-        raise GuardExceeded(
-            f"{n} hyperplanes exceeds the enumeration guard ({CHAMBER_GUARD})"
-        )
+    _enumeration_guard(a)
     members = 0
-    for pos, above in _conformal_masks(a, p, flag=p + 1):
-        if not above:
-            return _certified_jump(a, _sign_vector(a, pos), p)
+    for pos in _conformal_masks(a, p):
+        for m, cocircuits in above:
+            if not _covered(m, cocircuits, pos):
+                return _certified_jump(a, _sign_vector(a, pos), p)
         members += 1
     if p + 1 == rk and members != zaslavsky_chambers(a):
         raise VerificationError(

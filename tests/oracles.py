@@ -642,6 +642,31 @@ def proper_subcollections_independent(rows):
     )
 
 
+def fraction_audit_family(g, fam, target_codim):
+    """The witness audit in Fraction linear algebra on the alpha_I rows:
+    every proper sub-collection independent (each size), the whole family
+    of rank target_codim, and no other alpha_I orthogonal to the family's
+    kernel, i.e. in its span.  The audit trail, or None."""
+    members = [sorted(T) for T in fam.members]
+    rows = [list(alpha_I(g, T)) for T in members]
+    if not proper_subcollections_independent(rows):
+        return None
+    audit = [(f"proper sub-collections independent (all J with |J| < {len(rows)})", True)]
+    full_rank = rank(Mat(rows))
+    if full_rank != target_codim:
+        return None
+    audit.append((f"codim of full intersection = {target_codim}", full_rank))
+    kernel = kernel_basis(Mat(rows))
+    member_set = {tuple(T) for T in members}
+    for I in combinations(range(1, g.n + 1), g.k + 1):
+        if I not in member_set:
+            alpha = alpha_I(g, I)
+            if all(sum(alpha[i - 1] * k[i - 1] for i in I) == 0 for k in kernel):
+                return None
+    audit.append(("localization contains no further hyperplane", True))
+    return audit
+
+
 def lp_jump_after_perturbation(m, w, seed=0, tries=40):
     """The perturbation jump with one whole-arrangement strict LP per pattern.
 

@@ -171,21 +171,25 @@ def test_witness_json(w63):
 
 @pytest.mark.parametrize("make,n,k", [(witness_rank_r, 6, 2), (witness_rank3, 6, 3)])
 def test_audit_by_size_r_minus_1_matches_all_subcollections(make, n, k, monkeypatch):
-    """The r sub-collections of size r - 1 give the verdict of every proper
-    sub-collection on each candidate base the seed 0-3 searches draw."""
+    """The audit by flat_of on B(n, k), which reads only the
+    sub-collections of size r - 1, returns the trail of the Fraction audit
+    of every proper sub-collection, or None with it, on each candidate base
+    the seed 0-3 searches draw."""
     drawn = []
-    real = nonvgen._proper_independent
+    real = nonvgen._audit_family
 
-    def recorded(rows):
-        drawn.append(rows)
-        return real(rows)
+    def recorded(g, fam, target_codim):
+        got = real(g, fam, target_codim)
+        # the search prepends to the trail it keeps
+        drawn.append((g, fam, target_codim, got and list(got)))
+        return got
 
-    monkeypatch.setattr(nonvgen, "_proper_independent", recorded)
+    monkeypatch.setattr(nonvgen, "_audit_family", recorded)
     for s in range(4):
         make(n, k, seed=s)
     assert len(drawn) >= 4
-    for rows in drawn:
-        assert real(rows) == oracles.proper_subcollections_independent(rows)
+    for g, fam, target_codim, got in drawn:
+        assert got == oracles.fraction_audit_family(g, fam, target_codim)
 
 
 def test_audit_rejects_dependent_proper_subcollection(w63):
@@ -194,9 +198,21 @@ def test_audit_rejects_dependent_proper_subcollection(w63):
     g = w63.witness_base
     fam = SetFamily(6, 3, [*w63.family.members, {1, 3, 5, 6}])
     rows = [list(alpha_I(g, sorted(T))) for T in fam.members]
-    assert not nonvgen._proper_independent(rows)
     assert not oracles.proper_subcollections_independent(rows)
+    assert oracles.fraction_audit_family(g, fam, 3) is None
     assert nonvgen._audit_family(g, fam, 3) is None
+
+
+def test_audit_rejects_wrong_codim_and_a_further_hyperplane(w63):
+    """The seed searches draw no candidate that fails the audit, so its two
+    other rejections are pinned here: the three members meet at codim 2,
+    not 3, and two of them cut a codim-2 flat that holds the third."""
+    g = w63.witness_base
+    two = SetFamily(6, 3, w63.family.members[:2])
+    for fam, target_codim in ((w63.family, 3), (two, 2)):
+        assert oracles.fraction_audit_family(g, fam, target_codim) is None
+        assert nonvgen._audit_family(g, fam, target_codim) is None
+    assert nonvgen._audit_family(g, w63.family, 2) == oracles.fraction_audit_family(g, w63.family, 2)
 
 
 # -- perturbation and jump ------------------------------------------------------------

@@ -657,18 +657,22 @@ def jump_case(name, ms62_perturbed):
         return direct_sum(dfs_case("vg63-1"), build_ms(named_base("ms-3.1")).arrangement)
     if name == "vg74-1":
         return random_very_generic(7, 4, seed=1).arrangement
+    if name == "moment62":
+        return build_ms(moment_curve_base(range(6))).arrangement
     return table_case(name, ms62_perturbed)
 
 
 JUMP_INPUTS = ("boolean3", "moment52", "braid5", *LARGE, "vg63-3", "generic4", "rank4")
-JUMP_INPUTS += ("sum19", "vg74-1", "perturbed62")
+JUMP_INPUTS += ("sum19", "vg74-1", "perturbed62", "w62", "moment62")
 
 
 @pytest.mark.parametrize("name", JUMP_INPUTS)
 def test_find_jump_matches_the_two_list_search(name, ms62_perturbed):
-    """One DFS pass with a Sigma_{p+1} flag returns what listing Sigma_p
-    and then Sigma_{p+1} on whole circuit tables returned: the first
-    member of the first outside the second, or None, at every level."""
+    """The Sigma_p DFS with one cover test per over-populated codim-(p + 1)
+    flat at each member returns what listing Sigma_p and then Sigma_{p+1}
+    on whole circuit tables returned: the first member of the first
+    outside the second, or None, at every level.  w62 is the unperturbed
+    rank-4 witness, which is not very generic."""
     a = jump_case(name, ms62_perturbed)
     for p in range(2, a.rank()):
         assert find_jump(a, p) == oracles.two_list_find_jump(jump_case(name, ms62_perturbed), p)
@@ -766,7 +770,7 @@ def test_sigma2_of_moment_bases_is_the_packet_order(n):
     a = build_ms(moment_curve_base(range(n))).arrangement
     leaves = list(oracles.packet_leaves(n))
     assert len(leaves) == {5: 62, 6: 908}[n]
-    assert [pos for pos, _ in _conformal_masks(a, 2)] == leaves
+    assert list(_conformal_masks(a, 2)) == leaves
     assert len(sigma_set(a, 2)) == len(leaves)
 
 
@@ -812,10 +816,10 @@ def test_lazy_circuit_tables_match_eager_oracle(name, order, ms62_perturbed):
     oracle = table_case(name, ms62_perturbed)
     expected = [oracles.circuit_sigma_report(oracle, eps, p) for eps, p in queries]
     assert any(not rep.member for rep in expected)
-    masks = [pos for pos, _ in _conformal_masks(a, rk)] if order == "dfs-first" else None
+    masks = list(_conformal_masks(a, rk)) if order == "dfs-first" else None
     assert [in_sigma_p(a, eps, p) for eps, p in queries] == expected
     if masks is None:
-        masks = [pos for pos, _ in _conformal_masks(a, rk)]
+        masks = list(_conformal_masks(a, rk))
     assert masks == oracles.circuit_conformal_masks(oracle, rk)
 
 
